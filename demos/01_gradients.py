@@ -15,7 +15,6 @@ from seq2label.numerics import (
     finite_difference_check,
     lstm_cell_step,
     add_lstm_params,
-    matvec,
     sigmoid,
     softmax_masked,
     cross_entropy,
@@ -66,7 +65,7 @@ v = store2.add("v", (4,), rng2)
 def small_loss():
     # sum of sigmoid(W x) weighted by v, a smooth nonlinear composite
     x = Tensor(np.array([0.3, -0.7, 1.1]))
-    return (sigmoid(matvec(w, x)) * v).sum()
+    return (sigmoid(w @ x) * v).sum()
 
 
 err = finite_difference_check(small_loss, store2, eps=1e-5, samples_per_param=6)

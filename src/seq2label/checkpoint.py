@@ -73,9 +73,15 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Rebuild the model and overwrite every tensor with the stored bytes."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    """Rebuild the model and overwrite every tensor with the stored bytes.
+
+    An unreadable file or a malformed header raises DataError.
+    """
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise DataError(f"cannot read checkpoint: {e}") from None
     if not blob.startswith(MAGIC):
         raise DataError(f"{path} is not a checkpoint (bad magic)")
     newline = blob.find(b"\n", len(MAGIC))
@@ -85,54 +91,58 @@ def load_checkpoint(path: str) -> Checkpoint:
         header = json.loads(blob[len(MAGIC):newline].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"{path} has a corrupt header: {e}") from None
+    try:
+        config = ModelConfig(**header["model_config"])
+        vocab_text, label_text = header["vocab"], header["label_vocab"]
+        vocab_size, num_labels = int(header["vocab_size"]), int(header["num_labels"])
+        manifest = [(m["name"], tuple(m["shape"])) for m in header["tensors"]]
+        adam_saved, adam_steps = bool(header["adam"]["saved"]), int(header["adam"]["step"])
+        best_valid_f1, max_label_steps = float(header["best_valid_f1"]), int(header["max_label_steps"])
+    except KeyError as e:
+        raise DataError(f"{path} header has no {e} entry") from None
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{path} header has a malformed entry: {e}") from None
 
-    config = ModelConfig(**header["model_config"])
-    vocab = Vocabulary.from_text(header["vocab"])
-    label_vocab = LabelVocabulary.from_text(header["label_vocab"])
-    model = Seq2LabelModel(config, int(header["vocab_size"]), int(header["num_labels"]), RngStream(0))
+    vocab = Vocabulary.from_text(vocab_text)
+    label_vocab = LabelVocabulary.from_text(label_text)
+    model = Seq2LabelModel(config, vocab_size, num_labels, RngStream(0))
 
-    manifest = header["tensors"]
     names = model.params.names()
-    if [m["name"] for m in manifest] != names:
+    if [name for name, _ in manifest] != names:
         raise DataError(f"{path} tensor manifest does not match this configuration")
 
-    copies = 3 if header["adam"]["saved"] else 1
+    copies = 3 if adam_saved else 1
     offset = newline + 1
     blocks: list[list[np.ndarray]] = []
     for _ in range(copies):
         block = []
-        for m in manifest:
-            shape = tuple(m["shape"])
+        for name, shape in manifest:
             n = int(np.prod(shape, dtype=np.int64)) if shape else 1
             end = offset + 8 * n
             if end > len(blob):
-                raise DataError(f"{path} is truncated (tensor {m['name']})")
+                raise DataError(f"{path} is truncated (tensor {name})")
             block.append(np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy())
             offset = end
         blocks.append(block)
     if offset != len(blob):
         raise DataError(f"{path} has {len(blob) - offset} trailing bytes")
 
-    for m, arr in zip(manifest, blocks[0]):
-        t = model.params[m["name"]]
+    for name, arr in zip(names, blocks[0]):
+        t = model.params[name]
         if arr.shape != t.data.shape:
-            raise DataError(f"tensor {m['name']} has shape {arr.shape}, expected {t.data.shape}")
+            raise DataError(f"tensor {name} has shape {arr.shape}, expected {t.data.shape}")
         t.data = np.ascontiguousarray(arr)
-    if header["adam"]["saved"]:
+    if adam_saved:
         model.params.load_adam_state(
-            {
-                "step": header["adam"]["step"],
-                "m": dict(zip(names, blocks[1])),
-                "v": dict(zip(names, blocks[2])),
-            }
+            {"step": adam_steps, "m": dict(zip(names, blocks[1])), "v": dict(zip(names, blocks[2]))}
         )
     else:
-        model.params.step_count = int(header["adam"]["step"])
+        model.params.step_count = adam_steps
 
     return Checkpoint(
         model=model,
         vocab=vocab,
         label_vocab=label_vocab,
-        best_valid_f1=float(header["best_valid_f1"]),
-        max_label_steps=int(header["max_label_steps"]),
+        best_valid_f1=best_valid_f1,
+        max_label_steps=max_label_steps,
     )

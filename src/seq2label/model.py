@@ -25,9 +25,9 @@ from .numerics import (
     concat,
     dropout,
     lstm_cell_step,
+    lstm_sequence,
     sigmoid,
     softmax_masked,
-    stack_rows,
     take_rows,
     tanh,
 )
@@ -159,29 +159,18 @@ class Seq2LabelModel:
         cfg = self.config
         mode = "train" if train else "eval"
         x = dropout(self.embed(token_ids), cfg.dropout, mode, rng)
-        m = x.data.shape[0]
-        inputs = [x.row(t) for t in range(m)]
         for layer in range(cfg.encoder_layers):
-            fwd = self._run_direction(f"enc.l{layer}.fwd", inputs)
-            bwd = self._run_direction(f"enc.l{layer}.bwd", list(reversed(inputs)))
-            bwd.reverse()
-            inputs = [concat([f, b]) for f, b in zip(fwd, bwd)]
-            if layer + 1 < cfg.encoder_layers:
-                inputs = [dropout(h, cfg.dropout, mode, rng) for h in inputs]
-        states = stack_rows(inputs)
-        proj = states @ self.params["attn.w_enc"]
-        return EncoderOutput(states=states, proj=proj, length=m)
+            if layer:
+                x = dropout(x, cfg.dropout, mode, rng)
+            fwd = self._run_direction(f"enc.l{layer}.fwd", x)
+            bwd = self._run_direction(f"enc.l{layer}.bwd", x, reverse=True)
+            x = concat([fwd, bwd])
+        proj = x @ self.params["attn.w_enc"]
+        return EncoderOutput(states=x, proj=proj, length=x.data.shape[0])
 
-    def _run_direction(self, prefix: str, inputs: list[Tensor]) -> list[Tensor]:
-        hidden = self.config.encoder_hidden
-        h = Tensor(np.zeros(hidden))
-        c = Tensor(np.zeros(hidden))
-        wx, wh, b = self.params[f"{prefix}.wx"], self.params[f"{prefix}.wh"], self.params[f"{prefix}.b"]
-        outs = []
-        for x in inputs:
-            h, c = lstm_cell_step(x, (h, c), wx, wh, b)
-            outs.append(h)
-        return outs
+    def _run_direction(self, prefix: str, x: Tensor, reverse: bool = False) -> Tensor:
+        p = self.params
+        return lstm_sequence(x, p[f"{prefix}.wx"], p[f"{prefix}.wh"], p[f"{prefix}.b"], reverse)
 
     # -- decoder ------------------------------------------------------------
 

@@ -1,7 +1,7 @@
-"""Autodiff tensors, RNG, parameters, optimizer, LSTM cell, gradient checks."""
+"""Autodiff tensors, RNG, parameters, optimizer, LSTM ops, gradient checks."""
 
 from .gradcheck import finite_difference_check
-from .lstm import add_lstm_params, lstm_cell_step
+from .lstm import add_lstm_params, lstm_cell_step, lstm_sequence
 from .params import ParameterStore, adam_step, clip_gradients
 from .rng import RngStream
 from .tensor import (
@@ -9,11 +9,9 @@ from .tensor import (
     concat,
     cross_entropy,
     dropout,
-    matvec,
     no_grad,
     sigmoid,
     softmax_masked,
-    stack_rows,
     take_rows,
     tanh,
 )
@@ -30,11 +28,10 @@ __all__ = [
     "dropout",
     "finite_difference_check",
     "lstm_cell_step",
-    "matvec",
+    "lstm_sequence",
     "no_grad",
     "sigmoid",
     "softmax_masked",
-    "stack_rows",
     "take_rows",
     "tanh",
 ]

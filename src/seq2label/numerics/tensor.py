@@ -251,13 +251,17 @@ def tanh(t: Tensor) -> Tensor:
     return _node(out, (t,), bw)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic function of an array.
+
+    exp only ever sees -|x|: 1 / (1 + e) for x >= 0 and e / (1 + e) below.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(t: Tensor) -> Tensor:
-    x = t.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = logistic(t.data)
 
     def bw(g, t=t, out=out):
         _accum(t, g * out * (1.0 - out))
@@ -269,32 +273,22 @@ def sigmoid(t: Tensor) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate vectors into one vector."""
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ShapeError(f"concat expects vectors, got shape {p.data.shape}")
-    sizes = [p.data.shape[0] for p in parts]
+    """Join vectors end to end, or matrices with equal row counts side by side."""
+    if not parts:
+        raise ShapeError("concat needs at least one part")
+    shapes = [p.data.shape for p in parts]
+    first = shapes[0]
+    if len(first) not in (1, 2) or any(len(s) != len(first) or s[:-1] != first[:-1] for s in shapes):
+        raise ShapeError(f"concat expects vectors or matrices with equal row counts, got shapes {shapes}")
+    sizes = [s[-1] for s in shapes]
 
     def bw(g, parts=tuple(parts), sizes=tuple(sizes)):
         off = 0
         for p, n in zip(parts, sizes):
-            _accum(p, g[off:off + n])
+            _accum(p, g[..., off:off + n])
             off += n
 
-    return _node(np.concatenate([p.data for p in parts]), tuple(parts), bw)
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix, one per row."""
-    for r in rows:
-        if r.data.ndim != 1:
-            raise ShapeError(f"stack_rows expects vectors, got shape {r.data.shape}")
-
-    def bw(g, rows=tuple(rows)):
-        for i, r in enumerate(rows):
-            _accum(r, g[i])
-
-    return _node(np.stack([r.data for r in rows]), tuple(rows), bw)
+    return _node(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), bw)
 
 
 def take_rows(m: Tensor, indices) -> Tensor:
@@ -306,21 +300,15 @@ def take_rows(m: Tensor, indices) -> Tensor:
         raise ShapeError(f"row index out of range for shape {m.data.shape}")
 
     def bw(g, m=m, idx=idx):
-        full = np.zeros(m.data.shape)
-        np.add.at(full, idx, g)
-        _accum(m, full)
+        # scatter into the gradient buffer itself: no dense (V, k) temporary
+        if m.grad is None:
+            m.grad = np.zeros(m.data.shape)
+        np.add.at(m.grad, idx, g)
 
     return _node(m.data[idx], (m,), bw)
 
 
 # -- classifier head primitives ---------------------------------------------------
-
-
-def matvec(m: Tensor, v: Tensor) -> Tensor:
-    """Matrix times vector; the workhorse behind every weight application."""
-    if m.data.ndim != 2 or v.data.ndim != 1:
-        raise ShapeError(f"matvec expects (matrix, vector), got {m.data.shape} and {v.data.shape}")
-    return m @ v
 
 
 def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:

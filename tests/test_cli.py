@@ -300,6 +300,43 @@ class TestExitCodes:
         assert "error:" in err
 
 
+class TestCheckpointErrors:
+    """A checkpoint that cannot be used is a data problem: exit 2, no traceback."""
+
+    @staticmethod
+    def rewrite_header(src, dst, edit):
+        blob = open(src, "rb").read()
+        magic_end = blob.index(b"\n") + 1
+        header_end = blob.index(b"\n", magic_end)
+        header = json.loads(blob[magic_end:header_end])
+        edit(header)
+        with open(dst, "wb") as f:
+            f.write(blob[:magic_end] + json.dumps(header).encode("utf-8") + blob[header_end:])
+
+    def test_missing_checkpoint_exits_two(self, workdir, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "seq2label.cli", "evaluate",
+             "--checkpoint", str(tmp_path / "missing.ckpt"), "--test", workdir["test"]],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("model_config"),
+        lambda h: h.pop("tensors"),
+        lambda h: h["model_config"].update(bogus_key=1),
+    ], ids=["missing-model-config", "missing-tensors", "unknown-config-key"])
+    def test_malformed_header_exits_two(self, workdir, tmp_path, capsys, edit):
+        bad = str(tmp_path / "bad.ckpt")
+        self.rewrite_header(workdir["ckpt"], bad, edit)
+        code, _, err = run(["evaluate", "--checkpoint", bad, "--test", workdir["test"]], capsys)
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
+
 class TestAblate:
     def test_runs_all_variants(self, tmp_path, capsys):
         train = str(tmp_path / "t.jsonl")

@@ -16,11 +16,9 @@ from seq2label.numerics import (
     concat,
     cross_entropy,
     dropout,
-    matvec,
     no_grad,
     sigmoid,
     softmax_masked,
-    stack_rows,
     take_rows,
     tanh,
 )
@@ -54,7 +52,7 @@ def check_grads(build, *arrays, tol=1e-6):
 
 class TestValues:
     def test_matvec_frozen(self):
-        out = matvec(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([1.0, 1.0]))
+        out = Tensor([[1.0, 2.0], [3.0, 4.0]]) @ Tensor([1.0, 1.0])
         assert np.array_equal(out.data, [3.0, 7.0])
 
     def test_masked_softmax_frozen(self):
@@ -130,12 +128,32 @@ class TestGradients:
         check_grads(lambda t: t.row(2).sum(), m)
         check_grads(lambda t: t.rows(1, 3).sum(), m)
         check_grads(lambda a, b: concat([a, b]).sum(), x, x.copy())
-        check_grads(lambda a, b: (stack_rows([a, b]) @ Tensor([1.0, -1.0, 2.0])).sum(), x[:3], x[3:])
+        check_grads(lambda a, b: (concat([a, b]) @ Tensor([1.0, -1.0, 2.0])).sum(), m[:, :1].copy(), m[:, 1:].copy())
 
     def test_take_rows_accumulates_duplicates(self):
         table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         take_rows(table, [1, 1, 2]).sum().backward()
         assert np.array_equal(table.grad, [[0, 0], [2, 2], [1, 1]])
+
+    def test_take_rows_scatter_matches_dense_gradient(self):
+        # the gradient lands in a buffer an earlier use of the table already
+        # holds; the result must equal adding a dense scatter matrix to it
+        rng = np.random.default_rng(6)
+        table = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        idx = np.array([4, 0, 4, 6, 4, 0])
+        w, v = rng.normal(size=(6, 3)), rng.normal(size=(7, 3))
+        ((take_rows(table, idx) * Tensor(w)).sum() + (table * Tensor(v)).sum()).backward()
+        dense = np.zeros((7, 3))
+        np.add.at(dense, idx, w)
+        assert np.max(np.abs(table.grad - (v + dense))) <= 1e-12
+
+    def test_concat_rejects_mixed_shapes(self):
+        with pytest.raises(ShapeError):
+            concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))])
+        with pytest.raises(ShapeError):
+            concat([Tensor(np.zeros(2)), Tensor(np.zeros((1, 2)))])
+        with pytest.raises(ShapeError):
+            concat([])
 
     def test_masked_softmax_cross_entropy_grad(self):
         rng = np.random.default_rng(5)
@@ -189,7 +207,7 @@ class TestErrors:
         with pytest.raises(ShapeError):
             Tensor([1.0, 2.0]) * Tensor([1.0, 2.0, 3.0])
         with pytest.raises(ShapeError, match="matvec"):
-            matvec(Tensor([[1.0, 2.0]]), Tensor([1.0, 2.0, 3.0]))
+            Tensor([[1.0, 2.0]]) @ Tensor([1.0, 2.0, 3.0])
         with pytest.raises(ShapeError):
             Tensor([[1.0], [2.0]]) @ Tensor([[1.0, 2.0], [3.0, 4.0]])
 
