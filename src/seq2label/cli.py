@@ -68,30 +68,17 @@ class RunConfig:
     lambda_list: str = "0.0,0.5,1.0"
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            embed_size=self.embed_size,
-            encoder_hidden=self.encoder_hidden,
-            decoder_hidden=self.decoder_hidden,
-            encoder_layers=self.encoder_layers,
-            decoder_layers=self.decoder_layers,
-            dropout=self.dropout,
-            ge_mode=self.ge_mode,
-            ge_lambda=self.ge_lambda,
-        )
+        return self._subset(ModelConfig)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            adam_eps=self.adam_eps,
-            clip_norm=self.clip_norm,
-            seed=self.seed,
-            no_mask=self.no_mask,
-            shuffle_labels=self.shuffle_labels,
-        )
+        return self._subset(TrainConfig)
+
+    def _subset(self, cls):
+        """An instance of ``cls`` from the fields it shares with this config."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls) if f.name in _FIELD_TYPES})
+
+
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _parse_bool(text: str) -> bool:
@@ -107,29 +94,22 @@ def _parse_optional_int(text: str) -> int | None:
     return None if text.strip().lower() == "none" else int(text)
 
 
-_STR_FIELDS = {
-    "train", "valid", "test", "input", "vocab", "label_vocab",
-    "checkpoint", "out", "report", "attn", "ge_mode", "lambda_list",
+_PARSERS = {
+    "str": str,
+    "str | None": str,
+    "int": int,
+    "int | None": _parse_optional_int,
+    "float": float,
+    "bool": _parse_bool,
 }
-_BOOL_FIELDS = {"no_mask", "shuffle_labels", "lls_buckets"}
-_FLOAT_FIELDS = {"dropout", "ge_lambda", "learning_rate", "beta1", "beta2", "adam_eps", "clip_norm"}
 
 
 def _field_parser(name: str):
-    if name in _STR_FIELDS:
-        return str
-    if name in _BOOL_FIELDS:
-        return _parse_bool
-    if name in _FLOAT_FIELDS:
-        return float
-    if name == "max_steps":
-        return _parse_optional_int
-    return int
+    return _PARSERS[_FIELD_TYPES[name]]
 
 
 def read_config_file(path: str) -> dict:
     """Flat key=value file; blank lines and '#' comments are skipped."""
-    known = {f.name for f in fields(RunConfig)}
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as f:
@@ -145,7 +125,7 @@ def read_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path} line {lineno}: unknown option {key!r}")
         try:
             values[key] = _field_parser(key)(value)
@@ -159,9 +139,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         cfg = replace(cfg, **read_config_file(args.config))
-    known = {f.name for f in fields(RunConfig)}
     overrides = {
-        k: v for k, v in vars(args).items() if k in known and v is not None
+        k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v is not None
     }
     cfg = replace(cfg, **overrides)
     if getattr(args, "greedy", None):
@@ -176,11 +155,28 @@ def _require(cfg: RunConfig, names: list[str], command: str) -> None:
         raise ConfigError(f"{command} requires {flags}")
 
 
+def _check_outputs(cfg: RunConfig, names: list[str]) -> None:
+    """Refuse, before any work, output paths that cannot be created."""
+    for name in names:
+        path = getattr(cfg, name)
+        if not path:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise DataError(f"cannot write {path}: no directory {folder}")
+        if os.path.isdir(path):
+            raise DataError(f"cannot write {path}: it is a directory")
+
+
 def _load_records(path: str, require_labels: bool = True) -> list[dict]:
     try:
         return corpus.load_jsonl(path, require_labels=require_labels)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror}") from None
+
+
+def _load_examples(path: str, vocab: Vocabulary, label_vocab: LabelVocabulary, max_len: int):
+    return corpus.encode_examples(_load_records(path), vocab, label_vocab, max_len)
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -197,6 +193,7 @@ def _write_json(payload: dict, out: str | None) -> None:
 
 def cmd_build_vocab(cfg: RunConfig) -> int:
     _require(cfg, ["train", "vocab", "label_vocab"], "build-vocab")
+    _check_outputs(cfg, ["vocab", "label_vocab", "out"])
     records = _load_records(cfg.train)
     vocab, label_vocab = corpus.build_vocab(records, cfg.vocab_size)
     vocab.save(cfg.vocab)
@@ -212,31 +209,27 @@ def cmd_build_vocab(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_or_build_vocabs(cfg: RunConfig, records: list[dict]) -> tuple[Vocabulary, LabelVocabulary]:
-    have_both = (
-        cfg.vocab and os.path.exists(cfg.vocab)
-        and cfg.label_vocab and os.path.exists(cfg.label_vocab)
-    )
-    if have_both:
-        return Vocabulary.load(cfg.vocab), LabelVocabulary.load(cfg.label_vocab)
-    vocab, label_vocab = corpus.build_vocab(records, cfg.vocab_size)
-    if cfg.vocab:
-        vocab.save(cfg.vocab)
-    if cfg.label_vocab:
-        label_vocab.save(cfg.label_vocab)
-    return vocab, label_vocab
+def _load_training_data(cfg: RunConfig):
+    """Vocabularies (read if both files exist, else built and saved) and the
+    encoded training and optional validation examples."""
+    records = _load_records(cfg.train)
+    if cfg.vocab and os.path.exists(cfg.vocab) and cfg.label_vocab and os.path.exists(cfg.label_vocab):
+        vocab, label_vocab = Vocabulary.load(cfg.vocab), LabelVocabulary.load(cfg.label_vocab)
+    else:
+        vocab, label_vocab = corpus.build_vocab(records, cfg.vocab_size)
+        if cfg.vocab:
+            vocab.save(cfg.vocab)
+        if cfg.label_vocab:
+            label_vocab.save(cfg.label_vocab)
+    train_examples = corpus.encode_examples(records, vocab, label_vocab, cfg.max_len)
+    valid_examples = _load_examples(cfg.valid, vocab, label_vocab, cfg.max_len) if cfg.valid else None
+    return vocab, label_vocab, train_examples, valid_examples
 
 
 def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, ["train", "checkpoint"], "train")
-    records = _load_records(cfg.train)
-    vocab, label_vocab = _load_or_build_vocabs(cfg, records)
-    train_examples = corpus.encode_examples(records, vocab, label_vocab, cfg.max_len)
-    valid_examples = None
-    if cfg.valid:
-        valid_examples = corpus.encode_examples(
-            _load_records(cfg.valid), vocab, label_vocab, cfg.max_len
-        )
+    _check_outputs(cfg, ["checkpoint", "report", "vocab", "label_vocab"])
+    vocab, label_vocab, train_examples, valid_examples = _load_training_data(cfg)
 
     train_config = cfg.train_config()
     model_config = trainer.apply_ablation(cfg.model_config(), train_config)
@@ -282,10 +275,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     _require(cfg, ["checkpoint", "test"], "evaluate")
     if cfg.beam < 1:
         raise ConfigError(f"beam must be at least 1, got {cfg.beam}")
+    _check_outputs(cfg, ["out"])
     ckpt = load_checkpoint(cfg.checkpoint)
-    examples = corpus.encode_examples(
-        _load_records(cfg.test), ckpt.vocab, ckpt.label_vocab, cfg.max_len
-    )
+    examples = _load_examples(cfg.test, ckpt.vocab, ckpt.label_vocab, cfg.max_len)
     max_steps = _decode_steps(cfg, ckpt)
     pairs = []
     for ex in examples:
@@ -302,7 +294,9 @@ def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, ["checkpoint", "input"], "predict")
     if cfg.beam < 1:
         raise ConfigError(f"beam must be at least 1, got {cfg.beam}")
+    _check_outputs(cfg, ["out", "attn"])
     ckpt = load_checkpoint(cfg.checkpoint)
+    model, label_of = ckpt.model, ckpt.label_vocab.label_of
     records = _load_records(cfg.input, require_labels=False)
     max_steps = _decode_steps(cfg, ckpt)
 
@@ -315,22 +309,18 @@ def cmd_predict(cfg: RunConfig) -> int:
             except DataError as e:
                 out_f.write(json.dumps({"index": i, "error": str(e)}) + "\n")
                 continue
-            if cfg.beam == 1:
-                seq, log_prob = inference.greedy_decode(ckpt.model, token_ids, max_steps)
-            else:
-                seq, log_prob = inference.beam_search(ckpt.model, token_ids, cfg.beam, max_steps)
-            label_ids = inference.extract_label_set(seq, ckpt.model.eos_class)
-            names = [ckpt.label_vocab.label_of(l) for l in label_ids]
-            out_f.write(json.dumps({"index": i, "labels": names, "log_prob": log_prob}) + "\n")
+            best = inference.decode(model, token_ids, cfg.beam, max_steps, close_out=cfg.beam > 1)
+            names = [label_of(l) for l in inference.extract_label_set(best.sequence, model.eos_class)]
+            out_f.write(json.dumps({"index": i, "labels": names, "log_prob": best.log_prob}) + "\n")
             if attn_f is not None:
-                trace = inference.export_attention(ckpt.model, token_ids, seq)
+                emitted = [c for c in best.sequence if c != model.eos_class]
                 attn_f.write(
                     json.dumps(
                         {
                             "index": i,
                             "tokens": [ckpt.vocab.token_of(t) for t in token_ids],
-                            "labels": [ckpt.label_vocab.label_of(l) for l in trace.label_ids],
-                            "weights": [list(row) for row in trace.weights],
+                            "labels": [label_of(l) for l in emitted],
+                            "weights": [list(row) for row in best.attns[: len(emitted)]],
                         }
                     )
                     + "\n"
@@ -362,17 +352,9 @@ def cmd_ablate(cfg: RunConfig) -> int:
     if cfg.beam < 1:
         raise ConfigError(f"beam must be at least 1, got {cfg.beam}")
     lambdas = _parse_lambda_list(cfg.lambda_list)
-    records = _load_records(cfg.train)
-    vocab, label_vocab = _load_or_build_vocabs(cfg, records)
-    train_examples = corpus.encode_examples(records, vocab, label_vocab, cfg.max_len)
-    valid_examples = None
-    if cfg.valid:
-        valid_examples = corpus.encode_examples(
-            _load_records(cfg.valid), vocab, label_vocab, cfg.max_len
-        )
-    test_examples = corpus.encode_examples(
-        _load_records(cfg.test), vocab, label_vocab, cfg.max_len
-    )
+    _check_outputs(cfg, ["out", "vocab", "label_vocab"])
+    vocab, label_vocab, train_examples, valid_examples = _load_training_data(cfg)
+    test_examples = _load_examples(cfg.test, vocab, label_vocab, cfg.max_len)
 
     variants: list[tuple[str, RunConfig]] = [("base", cfg)]
     variants.append(("no_mask", replace(cfg, no_mask=True)))
@@ -400,6 +382,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
 def cmd_synth(cfg: RunConfig) -> int:
     """Write the generated corpora to JSONL files (developer utility)."""
     _require(cfg, ["out"], "synth")
+    _check_outputs(cfg, ["out"])
     train, held = synthetic.correlated_pair_corpus(cfg.seed)
     corpus.write_jsonl(cfg.out, synthetic.memorization_corpus(cfg.seed))
     base, ext = os.path.splitext(cfg.out)
@@ -523,7 +506,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except DataError as e:
+    except (DataError, OSError) as e:
+        # an OSError here is a file that could not be read or written
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -324,12 +324,3 @@ def make_batches(
         batches.append(Batch(tok_mat, lengths, lab_mat, lab_lengths))
     return batches
 
-
-def label_stats(examples: list[Example]) -> dict:
-    """Mean labels per example and the largest label-set size."""
-    sizes = [len(e.label_ids) for e in examples]
-    return {
-        "examples": len(examples),
-        "mean_labels": float(np.mean(sizes)) if sizes else 0.0,
-        "max_labels": max(sizes) if sizes else 0,
-    }

@@ -1,9 +1,19 @@
-"""Decoding: greedy, beam search, and attention extraction.
+"""Decoding: one beam search, the wrappers built on it, and attention replay.
 
-Scores are plain sums of log-probabilities with no length normalization; the
-mask guarantees no duplicate real labels, and hypotheses end when the terminal
-class is emitted. Beam search keeps the ``beam_size`` best children across all
-live hypotheses per step, so a beam of one reproduces greedy decoding exactly.
+``decode`` is the only search. Scores are plain sums of log-probabilities with
+no length normalization; the mask guarantees no duplicate real labels, and a
+hypothesis ends when it emits the terminal class. Every step keeps the
+``beam_size`` best children across all live hypotheses, so a beam of one is
+greedy decoding. The returned ``Hypothesis`` carries the output distribution
+and attention row of each of its steps, which is where ``decode_with_trace``
+and the command line's attention export read them from.
+
+The public wrappers differ only in beam width and in what happens when
+``max_steps`` runs out: ``greedy_decode``, ``decode_with_trace`` and
+``predict_set`` at beam 1 return the cut-off sequence as it stands, while
+``beam_search`` (at any width) and ``predict_set`` at wider beams close each
+leftover hypothesis with the terminal class one step later.
+``export_attention`` replays a sequence the caller supplies.
 """
 
 from __future__ import annotations
@@ -14,16 +24,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import DecoderState, EncoderOutput, Seq2LabelModel
+from .model import DecoderState, Seq2LabelModel
 from .numerics import no_grad
 
 
 @dataclass
-class BeamHypothesis:
+class Hypothesis:
+    """One path of the search.
+
+    ``dists`` and ``attns`` hold, for each entry of ``sequence``, the output
+    distribution it was chosen from and the attention row of that step: the
+    decoder's own arrays, not copies.
+    """
+
     sequence: tuple[int, ...]     # emitted classes, terminal id included once finished
     log_prob: float
     state: DecoderState
-    finished: bool = False
+    dists: tuple[np.ndarray, ...] = ()
+    attns: tuple[np.ndarray, ...] = ()
+
+    def child(self, cls: int, y: np.ndarray, alpha: np.ndarray, state: DecoderState) -> Hypothesis:
+        return Hypothesis(
+            self.sequence + (cls,),
+            self.log_prob + math.log(y[cls]),
+            state,
+            self.dists + (y,),
+            self.attns + (alpha,),
+        )
 
 
 @dataclass
@@ -33,9 +60,62 @@ class AttentionTrace:
     weights: np.ndarray           # (len(label_ids), source length), rows sum to 1
 
 
-def _sort_key(h: BeamHypothesis):
+def _sort_key(h: Hypothesis):
     # deterministic: best log-prob first, then shorter, then lexicographic
     return (-h.log_prob, len(h.sequence), h.sequence)
+
+
+def decode(
+    model: Seq2LabelModel, token_ids: np.ndarray, beam_size: int, max_steps: int, *, close_out: bool
+) -> Hypothesis:
+    """Best hypothesis under beam search.
+
+    Each step expands every live hypothesis into its ``beam_size`` most
+    probable classes with nonzero probability (no other class of it can rank
+    among the best ``beam_size`` children), keeps the ``beam_size`` best
+    children overall by ``_sort_key`` and moves the ones that chose the
+    terminal class into the finished pool. The search stops once the pool
+    holds ``beam_size`` sequences, nothing is left to expand or ``max_steps``
+    steps are done. Hypotheses still live then are finished with the terminal
+    class one step later when ``close_out`` is set, and compete as they stand
+    otherwise.
+
+    Two classes of one hypothesis whose probabilities differ but whose scores
+    round to the same float go to the more probable class, the one the
+    argmax of a greedy step picks.
+    """
+    if beam_size < 1:
+        raise ConfigError(f"beam_size must be positive, got {beam_size}")
+    if max_steps < 1:
+        raise ConfigError(f"max_steps must be positive, got {max_steps}")
+    eos = model.eos_class
+    with no_grad():
+        enc = model.encode(token_ids)
+        live = [Hypothesis(sequence=(), log_prob=0.0, state=model.init_state())]
+        finished: list[Hypothesis] = []
+        for _ in range(max_steps):
+            children: list[Hypothesis] = []
+            for hyp in live:
+                state, y, alpha = model.decoder_step(hyp.state, enc)
+                p = y.data
+                top = (np.argmax(p),) if beam_size == 1 else np.argsort(-p, kind="stable")[:beam_size]
+                children.extend(hyp.child(int(c), p, alpha.data, state) for c in top if p[c] != 0.0)
+            children.sort(key=_sort_key)
+            live = []
+            for child in children[:beam_size]:
+                if child.sequence[-1] == eos:
+                    finished.append(child)
+                else:
+                    child.state = model.advance(child.state, child.sequence[-1])
+                    live.append(child)
+            if len(finished) >= beam_size or not live:
+                break
+        for hyp in live:
+            if close_out:
+                state, y, alpha = model.decoder_step(hyp.state, enc)
+                hyp = hyp.child(eos, y.data, alpha.data, state)
+            finished.append(hyp)
+    return min(finished, key=_sort_key)
 
 
 def greedy_decode(
@@ -46,22 +126,8 @@ def greedy_decode(
     Returns (sequence, log_prob). The sequence includes the terminal class
     when it was emitted within ``max_steps``.
     """
-    if max_steps < 1:
-        raise ConfigError(f"max_steps must be positive, got {max_steps}")
-    with no_grad():
-        enc = model.encode(token_ids)
-        state = model.init_state()
-        seq: list[int] = []
-        total = 0.0
-        for _ in range(max_steps):
-            state, y, _ = model.decoder_step(state, enc)
-            cls = int(np.argmax(y.data))
-            total += math.log(float(y.data[cls]))
-            seq.append(cls)
-            if cls == model.eos_class:
-                break
-            state = model.advance(state, cls)
-    return seq, total
+    best = decode(model, token_ids, 1, max_steps, close_out=False)
+    return list(best.sequence), best.log_prob
 
 
 def beam_search(
@@ -69,66 +135,14 @@ def beam_search(
 ) -> tuple[list[int], float]:
     """Best label sequence under beam search; returns (sequence, log_prob).
 
-    Each step expands every live hypothesis over all classes with nonzero
-    probability, keeps the ``beam_size`` best children overall, and moves the
-    ones that chose the terminal class into the finished pool. The search
-    stops once the pool holds ``beam_size`` finished sequences or nothing is
-    left to expand. Hypotheses still live at ``max_steps`` are force-finished
-    by charging them the terminal class's log-probability one step later.
+    Hypotheses still live at ``max_steps`` (default: one step per label plus
+    the terminal one) are force-finished by charging them the terminal
+    class's log-probability one step later, so the sequence always ends with
+    the terminal class.
     """
-    if beam_size < 1:
-        raise ConfigError(f"beam_size must be positive, got {beam_size}")
     if max_steps is None:
         max_steps = model.num_labels + 1
-    if max_steps < 1:
-        raise ConfigError(f"max_steps must be positive, got {max_steps}")
-    with no_grad():
-        enc = model.encode(token_ids)
-        live = [BeamHypothesis(sequence=(), log_prob=0.0, state=model.init_state())]
-        finished: list[BeamHypothesis] = []
-        for _ in range(max_steps):
-            children: list[BeamHypothesis] = []
-            for hyp in live:
-                state, y, _ = model.decoder_step(hyp.state, enc)
-                for cls in range(model.num_labels + 1):
-                    p = float(y.data[cls])
-                    if p == 0.0:
-                        continue
-                    children.append(
-                        BeamHypothesis(
-                            sequence=hyp.sequence + (cls,),
-                            log_prob=hyp.log_prob + math.log(p),
-                            state=state,
-                            finished=cls == model.eos_class,
-                        )
-                    )
-            children.sort(key=_sort_key)
-            live = []
-            for child in children[:beam_size]:
-                if child.finished:
-                    finished.append(child)
-                else:
-                    live.append(
-                        BeamHypothesis(
-                            sequence=child.sequence,
-                            log_prob=child.log_prob,
-                            state=model.advance(child.state, child.sequence[-1]),
-                        )
-                    )
-            if len(finished) >= beam_size or not live:
-                break
-        # out of steps: close out survivors with the terminal class
-        for hyp in live:
-            _, y, _ = model.decoder_step(hyp.state, enc)
-            finished.append(
-                BeamHypothesis(
-                    sequence=hyp.sequence + (model.eos_class,),
-                    log_prob=hyp.log_prob + math.log(float(y.data[model.eos_class])),
-                    state=hyp.state,
-                    finished=True,
-                )
-            )
-        best = min(finished, key=_sort_key)
+    best = decode(model, token_ids, beam_size, max_steps, close_out=True)
     return list(best.sequence), best.log_prob
 
 
@@ -136,24 +150,8 @@ def decode_with_trace(
     model: Seq2LabelModel, token_ids: np.ndarray, max_steps: int
 ) -> tuple[list[int], list[np.ndarray], list[np.ndarray]]:
     """Greedy decode that also returns per-step distributions and attention."""
-    if max_steps < 1:
-        raise ConfigError(f"max_steps must be positive, got {max_steps}")
-    with no_grad():
-        enc = model.encode(token_ids)
-        state = model.init_state()
-        seq: list[int] = []
-        dists: list[np.ndarray] = []
-        attns: list[np.ndarray] = []
-        for _ in range(max_steps):
-            state, y, alpha = model.decoder_step(state, enc)
-            dists.append(y.data.copy())
-            attns.append(alpha.data.copy())
-            cls = int(np.argmax(y.data))
-            seq.append(cls)
-            if cls == model.eos_class:
-                break
-            state = model.advance(state, cls)
-    return seq, dists, attns
+    best = decode(model, token_ids, 1, max_steps, close_out=False)
+    return list(best.sequence), list(best.dists), list(best.attns)
 
 
 def extract_label_set(sequence: list[int], eos_class: int) -> list[int]:
@@ -174,9 +172,9 @@ def export_attention(
 ) -> AttentionTrace:
     """Attention rows behind each real-label emission of ``sequence``.
 
-    Replays the decoder with the given classes forced, so the trace matches
-    whatever search produced the sequence. One row per real label; the
-    terminal step, if present, is dropped.
+    Replays the decoder with the given classes forced, so ``sequence`` need
+    not come from a search. One row per real label; the terminal step, if
+    present, is dropped.
     """
     with no_grad():
         enc = model.encode(token_ids)
@@ -188,7 +186,7 @@ def export_attention(
             if cls == model.eos_class:
                 break
             labels.append(cls)
-            rows.append(alpha.data.copy())
+            rows.append(alpha.data)
             state = model.advance(state, cls)
     weights = np.stack(rows) if rows else np.zeros((0, len(token_ids)))
     return AttentionTrace(token_ids=np.asarray(token_ids), label_ids=labels, weights=weights)
@@ -200,9 +198,6 @@ def predict_set(
     beam_size: int,
     max_steps: int,
 ) -> tuple[list[int], float]:
-    """Decode and reduce to a label set; beam 1 routes through greedy."""
-    if beam_size == 1:
-        seq, logp = greedy_decode(model, token_ids, max_steps)
-    else:
-        seq, logp = beam_search(model, token_ids, beam_size, max_steps)
-    return extract_label_set(seq, model.eos_class), logp
+    """Decode and reduce to a label set; beam 1 is greedy decoding."""
+    best = decode(model, token_ids, beam_size, max_steps, close_out=beam_size > 1)
+    return extract_label_set(best.sequence, model.eos_class), best.log_prob

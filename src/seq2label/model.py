@@ -205,31 +205,26 @@ class Seq2LabelModel:
             return self.global_embedding(state.y_prev, state.prev_class)
         return self.fixed_lambda_embedding(state.y_prev, state.prev_class)
 
-    def global_embedding(self, y_prev: Tensor, prev_class: int | None = None) -> Tensor:
+    def global_embedding(self, y_prev: Tensor, prev_class: int) -> Tensor:
         """Gated blend of the chosen label's embedding with the expected one.
 
         The expected embedding averages real-label rows under the previous
         output distribution (the terminal class carries no embedding mass).
-        When no chosen class is given, the distribution's argmax stands in.
         """
         table = self.params["embed.labels"]
-        if prev_class is None:
-            prev_class = int(np.argmax(y_prev.data))
         e = table.row(prev_class)
         avg = y_prev.slice(0, self.num_labels) @ table.rows(0, self.num_labels)
         gate = sigmoid((self.params["ge.w_choice"] @ e) + (self.params["ge.w_average"] @ avg))
         one = Tensor(np.ones(self.config.embed_size))
         return ((one - gate) * e) + (gate * avg)
 
-    def fixed_lambda_embedding(self, y_prev: Tensor, prev_class: int | None = None) -> Tensor:
+    def fixed_lambda_embedding(self, y_prev: Tensor, prev_class: int) -> Tensor:
         """Like global_embedding but with a constant blend weight.
 
         At lambda 0 the chosen embedding is returned as-is, bypassing the
         blend arithmetic, so results match ge_mode "off" bit for bit.
         """
         table = self.params["embed.labels"]
-        if prev_class is None:
-            prev_class = int(np.argmax(y_prev.data))
         e = table.row(prev_class)
         lam = self.config.ge_lambda
         if lam == 0.0:

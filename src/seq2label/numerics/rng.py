@@ -44,7 +44,3 @@ class RngStream:
             j = int(self._gen.integers(0, i + 1))
             items[i], items[j] = items[j], items[i]
         self.position += max(len(items) - 1, 0)
-
-    def spawn(self, offset: int) -> "RngStream":
-        """Independent stream for a sub-task, derived from seed and offset."""
-        return RngStream(self.seed * 1_000_003 + offset)

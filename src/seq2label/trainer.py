@@ -134,8 +134,7 @@ def evaluate_greedy(
     """Micro-F1 of greedy decoding against the reference label sets."""
     pairs = []
     for ex in examples:
-        seq, _ = inference.greedy_decode(model, ex.token_ids, max_steps)
-        pred = inference.extract_label_set(seq, model.eos_class)
+        pred, _ = inference.predict_set(model, ex.token_ids, 1, max_steps)
         pairs.append((set(ex.label_ids), set(pred)))
     return metrics.micro_prf(pairs)[2]
 

@@ -133,3 +133,74 @@ def exhaustive_decode(model, token_ids, max_steps):
         walk(model.init_state(), (), 0.0, 0)
     best = min(results, key=lambda r: (-r[1], len(r[0]), r[0]))
     return list(best[0]), best[1]
+
+
+def _search_key(h):
+    return (-h[1], len(h[0]), h[0])
+
+
+def greedy_oracle(model, token_ids, max_steps):
+    """Argmax at every step, stopping at the terminal class or ``max_steps``.
+
+    Returns (sequence, log_prob, dists, attns) with copies of each step's
+    output distribution and attention row; a sequence cut off by the step
+    limit is returned as it stands.
+    """
+    import numpy as np
+
+    from seq2label.numerics import no_grad
+
+    with no_grad():
+        enc = model.encode(token_ids)
+        state = model.init_state()
+        seq, dists, attns = [], [], []
+        total = 0.0
+        for _ in range(max_steps):
+            state, y, alpha = model.decoder_step(state, enc)
+            dists.append(y.data.copy())
+            attns.append(alpha.data.copy())
+            cls = int(np.argmax(y.data))
+            total += math.log(float(y.data[cls]))
+            seq.append(cls)
+            if cls == model.eos_class:
+                break
+            state = model.advance(state, cls)
+    return seq, total, dists, attns
+
+
+def beam_oracle(model, token_ids, beam_size, max_steps):
+    """Beam search that scores every class of every live hypothesis.
+
+    Each step keeps the ``beam_size`` best children overall under the same
+    ordering key as the library; finished children go to a pool, and the
+    search stops when the pool holds ``beam_size`` sequences or nothing is
+    live. Survivors are closed with the terminal class one step later.
+    """
+    from seq2label.numerics import no_grad
+
+    with no_grad():
+        enc = model.encode(token_ids)
+        live = [((), 0.0, model.init_state())]
+        finished = []
+        for _ in range(max_steps):
+            children = []
+            for seq, logp, state in live:
+                new_state, y, _ = model.decoder_step(state, enc)
+                for cls in range(model.num_labels + 1):
+                    p = float(y.data[cls])
+                    if p != 0.0:
+                        children.append((seq + (cls,), logp + math.log(p), new_state))
+            children.sort(key=_search_key)
+            live = []
+            for child in children[:beam_size]:
+                if child[0][-1] == model.eos_class:
+                    finished.append(child)
+                else:
+                    live.append((child[0], child[1], model.advance(child[2], child[0][-1])))
+            if len(finished) >= beam_size or not live:
+                break
+        for seq, logp, state in live:
+            _, y, _ = model.decoder_step(state, enc)
+            finished.append((seq + (model.eos_class,), logp + math.log(float(y.data[model.eos_class])), state))
+    best = min(finished, key=_search_key)
+    return list(best[0]), best[1]

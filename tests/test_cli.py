@@ -5,13 +5,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from seq2label import synthetic
-from seq2label.cli import main, read_config_file
+from seq2label.cli import RunConfig, main, read_config_file
 from seq2label.corpus import write_jsonl
 from seq2label.errors import ConfigError
+from seq2label.model import ModelConfig
+from seq2label.trainer import TrainConfig
 
 FAST = [
     "--embed-size", "4", "--encoder-hidden", "3", "--decoder-hidden", "4",
@@ -260,6 +263,42 @@ class TestConfigFile:
         values = read_config_file(str(cfg))
         assert values == {"no_mask": True, "lls_buckets": False, "max_steps": None}
 
+    def test_defaults_agree_with_library_configs(self):
+        run_cfg = RunConfig()
+        for lib_cfg in (ModelConfig(), TrainConfig()):
+            shared = [f.name for f in fields(lib_cfg) if hasattr(run_cfg, f.name)]
+            assert shared
+            for name in shared:
+                assert getattr(run_cfg, name) == getattr(lib_cfg, name), name
+        assert run_cfg.model_config() == ModelConfig()
+        assert run_cfg.train_config() == TrainConfig()
+        assert not hasattr(run_cfg, "use_mask")  # the mask ablation is no_mask
+
+    def test_every_key_parses_to_its_type(self, tmp_path):
+        cases = {
+            "train": ("a.jsonl", "a.jsonl"), "valid": ("v", "v"), "test": ("t", "t"),
+            "input": ("i", "i"), "vocab": ("v.tsv", "v.tsv"), "label_vocab": ("l", "l"),
+            "checkpoint": ("m.ckpt", "m.ckpt"), "out": ("o", "o"), "report": ("r", "r"),
+            "attn": ("x", "x"), "vocab_size": ("7", 7), "max_len": ("9", 9),
+            "embed_size": ("3", 3), "encoder_hidden": ("4", 4), "decoder_hidden": ("5", 5),
+            "encoder_layers": ("2", 2), "decoder_layers": ("2", 2), "dropout": ("0.25", 0.25),
+            "ge_mode": ("gate", "gate"), "ge_lambda": ("1", 1.0), "epochs": ("3", 3),
+            "batch_size": ("2", 2), "learning_rate": ("0.5", 0.5), "beta1": ("0.8", 0.8),
+            "beta2": ("0.99", 0.99), "adam_eps": ("1e-6", 1e-6), "clip_norm": ("5", 5.0),
+            "seed": ("11", 11), "no_mask": ("true", True), "shuffle_labels": ("on", True),
+            "beam": ("4", 4), "max_steps": ("6", 6), "lls_buckets": ("1", True),
+            "lambda_list": ("0.1,0.2", "0.1,0.2"),
+        }
+        assert set(cases) == {f.name for f in fields(RunConfig)}
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{k.replace('_', '-')} = {text}\n" for k, (text, _) in cases.items()))
+        values = read_config_file(str(cfg))
+        for key, (_, want) in cases.items():
+            assert values[key] == want and type(values[key]) is type(want), key
+        cfg.write_text("use_mask = true\n")
+        with pytest.raises(ConfigError, match="unknown option"):
+            read_config_file(str(cfg))
+
     def test_config_error_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense\n")
@@ -335,6 +374,48 @@ class TestCheckpointErrors:
         assert code == 2
         assert "error:" in err
         assert "Traceback" not in err
+
+
+class TestOutputPaths:
+    """An output that cannot be written exits 2 before any data is read or trained on."""
+
+    @pytest.fixture
+    def inputs(self, workdir, tmp_path):
+        pred_in = str(tmp_path / "in.jsonl")
+        write_jsonl(pred_in, [{"text": "doc00 f00"}])
+        return {"train": workdir["train"], "test": workdir["test"], "ckpt": workdir["ckpt"], "in": pred_in}
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--train", "{train}", "--checkpoint", "{nodir}/m.ckpt"],
+        ["train", "--train", "{train}", "--checkpoint", "{tmp}/m.ckpt", "--report", "{nodir}/r.json"],
+        ["predict", "--checkpoint", "{ckpt}", "--input", "{in}", "--out", "{nodir}/p.jsonl"],
+        ["predict", "--checkpoint", "{ckpt}", "--input", "{in}", "--out", "{tmp}/p.jsonl",
+         "--attn", "{nodir}/a.jsonl"],
+        ["evaluate", "--checkpoint", "{ckpt}", "--test", "{test}", "--out", "{nodir}/m.json"],
+        ["evaluate", "--checkpoint", "{ckpt}", "--test", "{test}", "--out", "{tmp}"],
+        ["build-vocab", "--train", "{train}", "--vocab", "{nodir}/v.tsv", "--label-vocab", "{tmp}/l.tsv"],
+    ], ids=["train-checkpoint", "train-report", "predict-out", "predict-attn", "evaluate-out",
+            "evaluate-out-is-dir", "build-vocab"])
+    def test_unwritable_output_exits_two(self, inputs, tmp_path, capsys, argv):
+        names = dict(inputs, nodir=str(tmp_path / "nodir"), tmp=str(tmp_path))
+        argv = [a.format(**names) for a in argv]
+        code, out, err = run(argv + (FAST if argv[0] == "train" else []), capsys)
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+        assert "epoch 1" not in out
+        assert os.listdir(tmp_path) == ["in.jsonl"]  # nothing written, not even an empty file
+
+    def test_failed_write_exits_two(self, workdir, capsys):
+        # a path the checks accept but whose write fails: a full device
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        code, _, err = run(
+            ["evaluate", "--checkpoint", workdir["ckpt"], "--test", workdir["test"],
+             "--out", "/dev/full"],
+            capsys,
+        )
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
 
 
 class TestAblate:

@@ -228,17 +228,3 @@ class TestEncodeExamples:
         ]
         with pytest.raises(CorpusError, match="line 2"):
             corpus.encode_examples(records, v, lv)
-
-    def test_stats(self):
-        v = Vocabulary(["a"], [1])
-        lv = LabelVocabulary(["X", "Y"], [2, 1])
-        examples = corpus.encode_examples(
-            [
-                {"text": "a", "labels": ["X"]},
-                {"text": "a a", "labels": ["X", "Y"]},
-            ],
-            v,
-            lv,
-        )
-        stats = corpus.label_stats(examples)
-        assert stats == {"examples": 2, "mean_labels": 1.5, "max_labels": 2}

@@ -1,14 +1,16 @@
-"""Decoding: greedy/beam agreement, masking during search, attention export."""
+"""Decoding: the search against reference loops, greedy/beam agreement,
+masking during search, attention export."""
 
 import math
 
 import numpy as np
 import pytest
 
-from oracles import exhaustive_decode
+from oracles import beam_oracle, exhaustive_decode, greedy_oracle
 from seq2label.errors import ConfigError
 from seq2label.inference import (
     beam_search,
+    decode,
     decode_with_trace,
     export_attention,
     extract_label_set,
@@ -16,7 +18,7 @@ from seq2label.inference import (
     predict_set,
 )
 from seq2label.model import ModelConfig, Seq2LabelModel
-from seq2label.numerics import RngStream
+from seq2label.numerics import RngStream, Tensor
 
 
 def random_model(seed, num_labels=None, use_mask=True):
@@ -34,6 +36,103 @@ def random_model(seed, num_labels=None, use_mask=True):
     model = Seq2LabelModel(cfg, vocab_size, num_labels, RngStream(seed))
     tokens = rng.integers(0, vocab_size, size=int(rng.integers(2, 7)))
     return model, tokens
+
+
+class ScriptedDecoder:
+    """Stands in for a model: the output distribution is looked up by the
+    classes emitted so far (terminal class only for unlisted prefixes)."""
+
+    num_labels = 4
+    eos_class = 4
+
+    def __init__(self, table):
+        self.table = {k: np.array(v) / sum(v) for k, v in table.items()}
+
+    def encode(self, token_ids):
+        return None
+
+    def init_state(self):
+        return ()
+
+    def decoder_step(self, state, enc):
+        y = self.table.get(state, np.eye(self.num_labels + 1)[self.eos_class])
+        return state, Tensor(y), Tensor(np.ones(1))
+
+    def advance(self, state, cls):
+        return state + (cls,)
+
+
+class TestAgainstOracles:
+    """Every decode path equals a plain loop that scores all classes, bit for bit."""
+
+    BEAMS = (1, 2, 3, 5, 128)
+
+    @staticmethod
+    def models():
+        # seed % 3 picks the previous-label mode, (seed // 3) % 2 the mask
+        for seed in range(102):
+            yield random_model(seed, use_mask=(seed // 3) % 2 == 0)
+
+    def test_wrappers_and_search_equal_oracles(self):
+        for model, tokens in self.models():
+            eos = model.eos_class
+            for max_steps in (1, 2, model.num_labels + 1, model.num_labels + 3):
+                g_seq, g_lp, g_dists, g_attns = greedy_oracle(model, tokens, max_steps)
+                assert greedy_decode(model, tokens, max_steps) == (g_seq, g_lp)
+                seq, dists, attns = decode_with_trace(model, tokens, max_steps)
+                assert seq == g_seq
+                assert len(dists) == len(attns) == len(g_seq)
+                assert all(np.array_equal(a, b) for a, b in zip(dists, g_dists))
+                assert all(np.array_equal(a, b) for a, b in zip(attns, g_attns))
+                for beam in self.BEAMS:
+                    want = beam_oracle(model, tokens, beam, max_steps)
+                    assert beam_search(model, tokens, beam, max_steps) == want
+                    best = decode(model, tokens, beam, max_steps, close_out=True)
+                    assert (list(best.sequence), best.log_prob) == want
+                    set_seq, set_lp = (g_seq, g_lp) if beam == 1 else want
+                    assert predict_set(model, tokens, beam, max_steps) == (
+                        extract_label_set(set_seq, eos), set_lp
+                    )
+
+    def test_search_attention_equals_replay(self):
+        for model, tokens in self.models():
+            best = decode(model, tokens, 3, model.num_labels + 1, close_out=True)
+            replay = export_attention(model, tokens, list(best.sequence))
+            rows = best.attns[: len(replay.label_ids)]
+            live = np.stack(rows) if rows else np.zeros((0, len(tokens)))
+            assert np.array_equal(live, replay.weights)
+            assert list(best.sequence[: len(rows)]) == replay.label_ids
+
+    def test_full_pool_stops_the_search(self):
+        # At beam 2 the pool fills with (T) and (0, T) after two steps while
+        # (0, 1) is still live and better; the search stops there and closes
+        # (0, 1) with the terminal class, although (0, 1, 2, T) would score
+        # higher. Random models almost never reach this case.
+        model = ScriptedDecoder({
+            (): [0.99, 0.001, 0.001, 0.001, 0.007],
+            (0,): [0.0, 0.98, 0.001, 0.001, 0.018],
+            (0, 1): [0.0, 0.0, 0.998, 0.001, 0.001],
+            (0, 1, 2): [0.0, 0.0, 0.0, 0.001, 0.999],
+        })
+        want = beam_oracle(model, None, 2, 5)
+        assert want[0] == [0, 4]
+        assert beam_search(model, None, 2, 5) == want
+        assert predict_set(model, None, 2, 5) == ([0], want[1])
+
+    def test_step_record_covers_close_out(self):
+        closed = 0
+        for seed in range(10):
+            model, tokens = random_model(seed)
+            best = decode(model, tokens, 3, 1, close_out=True)
+            # a real label at step 1 is closed by a recorded terminal step
+            assert len(best.sequence) == len(best.dists) == len(best.attns)
+            assert best.sequence[-1] == model.eos_class
+            closed += len(best.sequence) == 2
+            total = 0.0
+            for dist, cls in zip(best.dists, best.sequence):
+                total += math.log(dist[cls])
+            assert best.log_prob == total
+        assert closed
 
 
 class TestGreedy:

@@ -241,13 +241,6 @@ class TestPreviousLabelModes:
         g = m.fixed_lambda_embedding(y_prev, prev_class=0)
         assert np.allclose(g.data, 0.5 * table[0], atol=1e-15)
 
-    def test_argmax_fallback_matches_explicit_choice(self):
-        m = tiny_model(ge_mode="gate")
-        y_prev = Tensor(np.array([0.1, 0.6, 0.2, 0.1]))
-        auto = m.global_embedding(y_prev)
-        explicit = m.global_embedding(y_prev, prev_class=1)
-        assert np.array_equal(auto.data, explicit.data)
-
     def test_first_step_identical_across_modes(self):
         outs = [
             self.drive(tiny_model(ge_mode=mode), [1])[0]
