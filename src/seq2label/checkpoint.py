@@ -75,7 +75,8 @@ def save_checkpoint(
 def load_checkpoint(path: str) -> Checkpoint:
     """Rebuild the model and overwrite every tensor with the stored bytes.
 
-    An unreadable file or a malformed header raises DataError.
+    An unreadable file, a malformed header, or vocabularies whose sizes differ
+    from the model's raise DataError.
     """
     try:
         with open(path, "rb") as f:
@@ -93,18 +94,24 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise DataError(f"{path} has a corrupt header: {e}") from None
     try:
         config = ModelConfig(**header["model_config"])
-        vocab_text, label_text = header["vocab"], header["label_vocab"]
+        vocab = Vocabulary.from_text(header["vocab"])
+        label_vocab = LabelVocabulary.from_text(header["label_vocab"])
         vocab_size, num_labels = int(header["vocab_size"]), int(header["num_labels"])
         manifest = [(m["name"], tuple(m["shape"])) for m in header["tensors"]]
         adam_saved, adam_steps = bool(header["adam"]["saved"]), int(header["adam"]["step"])
         best_valid_f1, max_label_steps = float(header["best_valid_f1"]), int(header["max_label_steps"])
     except KeyError as e:
         raise DataError(f"{path} header has no {e} entry") from None
-    except (TypeError, ValueError) as e:
+    except (AttributeError, TypeError, ValueError) as e:
         raise DataError(f"{path} header has a malformed entry: {e}") from None
 
-    vocab = Vocabulary.from_text(vocab_text)
-    label_vocab = LabelVocabulary.from_text(label_text)
+    if len(vocab) != vocab_size or len(label_vocab) != num_labels:
+        raise DataError(
+            f"{path} header holds {len(vocab)} tokens and {len(label_vocab)} labels, "
+            f"but its model has {vocab_size} and {num_labels}"
+        )
+    if max_label_steps < 1:
+        raise DataError(f"{path} header has max_label_steps {max_label_steps}, below 1")
     model = Seq2LabelModel(config, vocab_size, num_labels, RngStream(0))
 
     names = model.params.names()

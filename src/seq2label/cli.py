@@ -12,20 +12,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 from . import corpus, inference, metrics, synthetic, trainer
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .corpus import LabelVocabulary, Vocabulary
 from .errors import ConfigError, DataError, NumericError
-from .model import ModelConfig, Seq2LabelModel
+from .model import GE_MODES, ModelConfig, Seq2LabelModel
 from .numerics import RngStream
 from .trainer import TrainConfig
 
 
 @dataclass
-class RunConfig:
-    """Flat bag of every option any subcommand reads."""
+class _CommandLineOptions:
+    """The options only the command line has: paths, data, decoding, reporting."""
 
     # paths
     train: str | None = None
@@ -41,26 +41,8 @@ class RunConfig:
     # data
     vocab_size: int = 50000
     max_len: int = 500
-    # model
-    embed_size: int = 64
-    encoder_hidden: int = 64
-    decoder_hidden: int = 64
-    encoder_layers: int = 1
-    decoder_layers: int = 1
-    dropout: float = 0.0
-    ge_mode: str = "off"
-    ge_lambda: float = 0.5
-    # training
-    epochs: int = 10
-    batch_size: int = 8
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    clip_norm: float = 10.0
-    seed: int = 0
+    # the mask ablation; the model's own switch is ModelConfig.use_mask
     no_mask: bool = False
-    shuffle_labels: bool = False
     # decoding / reporting
     beam: int = 5
     max_steps: int | None = None
@@ -68,15 +50,33 @@ class RunConfig:
     lambda_list: str = "0.0,0.5,1.0"
 
     def model_config(self) -> ModelConfig:
-        return self._subset(ModelConfig)
+        return ModelConfig(use_mask=not self.no_mask, **self._values(ModelConfig))
 
     def train_config(self) -> TrainConfig:
-        return self._subset(TrainConfig)
+        return TrainConfig(**self._values(TrainConfig))
 
-    def _subset(self, cls):
-        """An instance of ``cls`` from the fields it shares with this config."""
-        return cls(**{f.name: getattr(self, f.name) for f in fields(cls) if f.name in _FIELD_TYPES})
+    def _values(self, cls) -> dict:
+        return {f.name: getattr(self, f.name) for f in _library_fields(cls)}
 
+
+def _library_fields(cls) -> list:
+    return [f for f in fields(cls) if f.name != "use_mask"]
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [
+        (f.name, f.type, field(default=f.default))
+        for cls in (ModelConfig, TrainConfig)
+        for f in _library_fields(cls)
+    ],
+    bases=(_CommandLineOptions,),
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Flat bag of every option any subcommand reads: the command line's own options "
+        "plus each ModelConfig and TrainConfig field, with the library's type and default.",
+    },
+)
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
@@ -90,7 +90,7 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"cannot parse {text!r} as a boolean")
 
 
-def _parse_optional_int(text: str) -> int | None:
+def int_or_none(text: str) -> int | None:
     return None if text.strip().lower() == "none" else int(text)
 
 
@@ -98,7 +98,7 @@ _PARSERS = {
     "str": str,
     "str | None": str,
     "int": int,
-    "int | None": _parse_optional_int,
+    "int | None": int_or_none,
     "float": float,
     "bool": _parse_bool,
 }
@@ -116,6 +116,8 @@ def read_config_file(path: str) -> dict:
             lines = f.readlines()
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read config file {path}: not UTF-8 text") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -145,11 +147,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = replace(cfg, **overrides)
     if getattr(args, "greedy", None):
         cfg = replace(cfg, beam=1)
+    if cfg.beam < 1:
+        raise ConfigError(f"beam must be at least 1, got {cfg.beam}")
+    if cfg.max_steps is not None and cfg.max_steps < 1:
+        raise ConfigError(f"max_steps must be at least 1, got {cfg.max_steps}")
     return cfg
 
 
 def _require(cfg: RunConfig, names: list[str], command: str) -> None:
-    missing = [n for n in names if getattr(cfg, n) is None]
+    missing = [n for n in names if not getattr(cfg, n)]  # an empty path is no path
     if missing:
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
         raise ConfigError(f"{command} requires {flags}")
@@ -229,10 +235,9 @@ def _load_training_data(cfg: RunConfig):
 def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, ["train", "checkpoint"], "train")
     _check_outputs(cfg, ["checkpoint", "report", "vocab", "label_vocab"])
+    model_config, train_config = cfg.model_config(), cfg.train_config()
     vocab, label_vocab, train_examples, valid_examples = _load_training_data(cfg)
 
-    train_config = cfg.train_config()
-    model_config = trainer.apply_ablation(cfg.model_config(), train_config)
     model = Seq2LabelModel(model_config, len(vocab), len(label_vocab), RngStream(cfg.seed))
     report = trainer.fit(model, train_examples, valid_examples, train_config, label_vocab)
 
@@ -273,16 +278,10 @@ def _decode_steps(cfg: RunConfig, ckpt: Checkpoint) -> int:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     _require(cfg, ["checkpoint", "test"], "evaluate")
-    if cfg.beam < 1:
-        raise ConfigError(f"beam must be at least 1, got {cfg.beam}")
     _check_outputs(cfg, ["out"])
     ckpt = load_checkpoint(cfg.checkpoint)
     examples = _load_examples(cfg.test, ckpt.vocab, ckpt.label_vocab, cfg.max_len)
-    max_steps = _decode_steps(cfg, ckpt)
-    pairs = []
-    for ex in examples:
-        pred, _ = inference.predict_set(ckpt.model, ex.token_ids, cfg.beam, max_steps)
-        pairs.append((set(ex.label_ids), set(pred)))
+    pairs = trainer.label_set_pairs(ckpt.model, examples, cfg.beam, _decode_steps(cfg, ckpt))
     report = metrics.score(pairs, len(ckpt.label_vocab))
     if cfg.lls_buckets:
         report.buckets = metrics.bucket_by_lls(pairs, len(ckpt.label_vocab))
@@ -292,8 +291,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, ["checkpoint", "input"], "predict")
-    if cfg.beam < 1:
-        raise ConfigError(f"beam must be at least 1, got {cfg.beam}")
     _check_outputs(cfg, ["out", "attn"])
     ckpt = load_checkpoint(cfg.checkpoint)
     model, label_of = ckpt.model, ckpt.label_vocab.label_of
@@ -349,9 +346,8 @@ def _parse_lambda_list(text: str) -> list[float]:
 def cmd_ablate(cfg: RunConfig) -> int:
     """Train and evaluate the base setup plus one variant per ablation switch."""
     _require(cfg, ["train", "test"], "ablate")
-    if cfg.beam < 1:
-        raise ConfigError(f"beam must be at least 1, got {cfg.beam}")
     lambdas = _parse_lambda_list(cfg.lambda_list)
+    cfg.model_config(), cfg.train_config()  # a bad option fails here, before any data is read
     _check_outputs(cfg, ["out", "vocab", "label_vocab"])
     vocab, label_vocab, train_examples, valid_examples = _load_training_data(cfg)
     test_examples = _load_examples(cfg.test, vocab, label_vocab, cfg.max_len)
@@ -364,15 +360,10 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
     results = {}
     for name, vcfg in variants:
-        train_config = vcfg.train_config()
-        model_config = trainer.apply_ablation(vcfg.model_config(), train_config)
-        model = Seq2LabelModel(model_config, len(vocab), len(label_vocab), RngStream(vcfg.seed))
-        report = trainer.fit(model, train_examples, valid_examples, train_config, label_vocab)
+        model = Seq2LabelModel(vcfg.model_config(), len(vocab), len(label_vocab), RngStream(vcfg.seed))
+        report = trainer.fit(model, train_examples, valid_examples, vcfg.train_config(), label_vocab)
         max_steps = vcfg.max_steps if vcfg.max_steps is not None else report.max_label_steps
-        pairs = []
-        for ex in test_examples:
-            pred, _ = inference.predict_set(model, ex.token_ids, vcfg.beam, max_steps)
-            pairs.append((set(ex.label_ids), set(pred)))
+        pairs = trainer.label_set_pairs(model, test_examples, vcfg.beam, max_steps)
         results[name] = metrics.score(pairs, len(label_vocab)).as_dict()
         print(f"{name}: test micro-F1 {results[name]['micro_f1']:.4f}", file=sys.stderr)
     _write_json({"variants": results}, cfg.out)
@@ -401,99 +392,66 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="write JSON output here instead of stdout")
+_HELP = {
+    "out": "write JSON output here instead of stdout",
+    "train": "training JSONL",
+    "valid": "validation JSONL",
+    "vocab": "token vocabulary file",
+    "label_vocab": "label vocabulary file",
+    "no_mask": "ablation: decode without the no-repeat mask",
+    "shuffle_labels": "ablation: random label order instead of frequency order",
+    "checkpoint": "checkpoint output path",
+    "report": "write a JSON training report here",
+    "beam": "beam size (default 5)",
+    "lls_buckets": "also report metrics per reference label-set size",
+    "input": "JSONL with a 'text' field per line",
+    "attn": "write per-label attention rows to this JSONL",
+    "lambda_list": "comma-separated blend weights to sweep (default 0.0,0.5,1.0)",
+}
 
+_MODEL_KEYS = tuple(f.name for f in _library_fields(ModelConfig))
+_TRAIN_KEYS = (
+    "train", "valid", "vocab", "label_vocab", "vocab_size", "max_len",
+    "epochs", "batch_size", "learning_rate", "clip_norm", "no_mask", "shuffle_labels",
+)
+_DECODE_KEYS = ("beam", "max_steps")
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--embed-size", type=int, default=None)
-    p.add_argument("--encoder-hidden", type=int, default=None)
-    p.add_argument("--decoder-hidden", type=int, default=None)
-    p.add_argument("--encoder-layers", type=int, default=None)
-    p.add_argument("--decoder-layers", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--ge-mode", choices=["off", "gate", "lambda"], default=None)
-    p.add_argument("--ge-lambda", type=float, default=None)
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--train", default=None, help="training JSONL")
-    p.add_argument("--valid", default=None, help="validation JSONL")
-    p.add_argument("--vocab", default=None, help="token vocabulary file")
-    p.add_argument("--label-vocab", default=None, help="label vocabulary file")
-    p.add_argument("--vocab-size", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--clip-norm", type=float, default=None)
-    p.add_argument("--no-mask", action="store_true", default=None,
-                   help="ablation: decode without the no-repeat mask")
-    p.add_argument("--shuffle-labels", action="store_true", default=None,
-                   help="ablation: random label order instead of frequency order")
-
-
-def _add_decode_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beam", type=int, default=None, help="beam size (default 5)")
-    p.add_argument("--greedy", action="store_true", default=None, help="shorthand for --beam 1")
-    p.add_argument("--max-steps", type=int, default=None)
+# subcommand -> (handler, help, config keys that get a flag besides --seed and --out)
+_COMMANDS = {
+    "build-vocab": (cmd_build_vocab, "count tokens and labels, write both vocabularies",
+                    ("train", "vocab", "label_vocab", "vocab_size")),
+    "train": (cmd_train, "train a model and write a checkpoint",
+              _TRAIN_KEYS + _MODEL_KEYS + ("checkpoint", "report")),
+    "evaluate": (cmd_evaluate, "score a checkpoint on a labeled test set",
+                 _DECODE_KEYS + ("checkpoint", "test", "max_len", "lls_buckets")),
+    "predict": (cmd_predict, "decode label sets for unlabeled inputs",
+                _DECODE_KEYS + ("checkpoint", "input", "max_len", "attn")),
+    "ablate": (cmd_ablate, "train the base setup and its ablation variants",
+               _TRAIN_KEYS + _MODEL_KEYS + _DECODE_KEYS + ("test", "lambda_list")),
+    "synth": (cmd_synth, "write the built-in synthetic corpora as JSONL", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One --flag per config key a subcommand reads, typed like its RunConfig field.
+
+    Every flag defaults to None, so resolve_config can tell a flag that was not
+    given from one that was.
+    """
     parser = _Parser(prog="seq2label", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build-vocab", help="count tokens and labels, write both vocabularies")
-    _add_common(p)
-    p.add_argument("--train", default=None)
-    p.add_argument("--vocab", default=None)
-    p.add_argument("--label-vocab", default=None)
-    p.add_argument("--vocab-size", type=int, default=None)
-    p.set_defaults(func=cmd_build_vocab)
-
-    p = sub.add_parser("train", help="train a model and write a checkpoint")
-    _add_common(p)
-    _add_train_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--checkpoint", default=None, help="checkpoint output path")
-    p.add_argument("--report", default=None, help="write a JSON training report here")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="score a checkpoint on a labeled test set")
-    _add_common(p)
-    _add_decode_flags(p)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--test", default=None)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--lls-buckets", action="store_true", default=None,
-                   help="also report metrics per reference label-set size")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("predict", help="decode label sets for unlabeled inputs")
-    _add_common(p)
-    _add_decode_flags(p)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--input", default=None, help="JSONL with a 'text' field per line")
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--attn", default=None, help="write per-label attention rows to this JSONL")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("ablate", help="train the base setup and its ablation variants")
-    _add_common(p)
-    _add_train_flags(p)
-    _add_model_flags(p)
-    _add_decode_flags(p)
-    p.add_argument("--test", default=None)
-    p.add_argument("--lambda-list", default=None,
-                   help="comma-separated blend weights to sweep (default 0.0,0.5,1.0)")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("synth", help="write the built-in synthetic corpora as JSONL")
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
-
+    for command, (func, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for key in ("seed", "out") + keys:
+            if _FIELD_TYPES[key] == "bool":
+                kind = {"action": "store_true", "default": None}
+            else:
+                kind = {"type": _field_parser(key), "choices": GE_MODES if key == "ge_mode" else None}
+            p.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key), **kind)
+        if "beam" in keys:
+            p.add_argument("--greedy", action="store_true", default=None, help="shorthand for --beam 1")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -74,8 +74,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            return cls(*_parse_tsv(f))
+        return cls(*_parse_tsv(_text_lines(path)))
 
 
 class LabelVocabulary:
@@ -138,8 +137,20 @@ class LabelVocabulary:
 
     @classmethod
     def load(cls, path: str) -> "LabelVocabulary":
-        with open(path, encoding="utf-8") as f:
-            return cls(*_parse_tsv(f))
+        return cls(*_parse_tsv(_text_lines(path)))
+
+
+def _text_lines(path: str):
+    """The lines of a UTF-8 text file; a line with other bytes raises CorpusError."""
+    # surrogateescape turns each undecodable byte into a lone surrogate, which
+    # a strict encode then finds, so the error names the line it is on
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CorpusError("invalid UTF-8", line=lineno) from None
+            yield line
 
 
 def _parse_tsv(lines) -> tuple[list[str], list[int]]:
@@ -186,28 +197,27 @@ def load_jsonl(path: str, require_labels: bool = True) -> list[dict]:
     carry the 1-based line number of the offending record.
     """
     records = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"invalid JSON ({e.msg})", line=lineno) from None
-            if not isinstance(rec, dict):
-                raise CorpusError("record is not a JSON object", line=lineno)
-            text = rec.get("text")
-            if not isinstance(text, str) or not text.strip():
-                raise CorpusError("missing or empty 'text' field", line=lineno)
-            if require_labels:
-                labels = rec.get("labels")
-                if not isinstance(labels, list) or not labels:
-                    raise CorpusError("missing or empty 'labels' field", line=lineno)
-                if not all(isinstance(lab, str) and lab for lab in labels):
-                    raise CorpusError("labels must be non-empty strings", line=lineno)
-                if len(set(labels)) != len(labels):
-                    raise CorpusError("duplicate label in record", line=lineno)
-            records.append(rec)
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise CorpusError(f"invalid JSON ({e.msg})", line=lineno) from None
+        if not isinstance(rec, dict):
+            raise CorpusError("record is not a JSON object", line=lineno)
+        text = rec.get("text")
+        if not isinstance(text, str) or not text.strip():
+            raise CorpusError("missing or empty 'text' field", line=lineno)
+        if require_labels:
+            labels = rec.get("labels")
+            if not isinstance(labels, list) or not labels:
+                raise CorpusError("missing or empty 'labels' field", line=lineno)
+            if not all(isinstance(lab, str) and lab for lab in labels):
+                raise CorpusError("labels must be non-empty strings", line=lineno)
+            if len(set(labels)) != len(labels):
+                raise CorpusError("duplicate label in record", line=lineno)
+        records.append(rec)
     if not records:
         raise CorpusError(f"no records in {path}")
     return records

@@ -27,6 +27,7 @@ from .numerics import (
     lstm_cell_step,
     lstm_sequence,
     sigmoid,
+    softmax,
     softmax_masked,
     take_rows,
     tanh,
@@ -191,7 +192,7 @@ class Seq2LabelModel:
     def attend(self, state_vec: Tensor, enc: EncoderOutput) -> tuple[Tensor, Tensor]:
         """Additive attention over encoder states; returns (weights, context)."""
         scores = tanh(enc.proj + (state_vec @ self.params["attn.w_state"])) @ self.params["attn.v"]
-        alpha = softmax_masked(scores, np.zeros(enc.length))
+        alpha = softmax(scores)
         return alpha, alpha @ enc.states
 
     def input_embedding(self, state: DecoderState) -> Tensor:

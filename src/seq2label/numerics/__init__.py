@@ -11,6 +11,7 @@ from .tensor import (
     dropout,
     no_grad,
     sigmoid,
+    softmax,
     softmax_masked,
     take_rows,
     tanh,
@@ -31,6 +32,7 @@ __all__ = [
     "lstm_sequence",
     "no_grad",
     "sigmoid",
+    "softmax",
     "softmax_masked",
     "take_rows",
     "tanh",

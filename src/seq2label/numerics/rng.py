@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
+
 
 class RngStream:
     ALGORITHM = "pcg64"
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
         self.position = 0
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 

@@ -329,7 +329,18 @@ def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
     if not allowed.any():
         raise NumericError("no unmasked label")
     z = logits.data + mask
-    e = np.exp(z - z[allowed].max())
+    return _softmax_node(logits, z, z[allowed].max())
+
+
+def softmax(logits: Tensor) -> Tensor:
+    """Probability vector over a logit vector; softmax_masked with nothing masked."""
+    if logits.data.ndim != 1:
+        raise ShapeError(f"softmax expects a vector, got shape {logits.data.shape}")
+    return _softmax_node(logits, logits.data, logits.data.max())
+
+
+def _softmax_node(logits: Tensor, z: np.ndarray, top: float) -> Tensor:
+    e = np.exp(z - top)
     p = e / e.sum()
 
     def bw(g, t=logits, p=p):

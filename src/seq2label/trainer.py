@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import corpus, inference, metrics
 from .corpus import Batch, Example, LabelVocabulary
 from .errors import ConfigError, NumericError
-from .model import ModelConfig, Seq2LabelModel
+from .model import Seq2LabelModel
 from .numerics import RngStream, Tensor, adam_step, clip_gradients, cross_entropy
 
 
@@ -24,7 +24,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     clip_norm: float = 10.0
     seed: int = 0
-    no_mask: bool = False
     shuffle_labels: bool = False
 
     def __post_init__(self):
@@ -50,13 +49,6 @@ class TrainReport:
     selected_epoch: int = 0
     best_valid_f1: float = 0.0
     max_label_steps: int = 1
-
-
-def apply_ablation(model_config: ModelConfig, train_config: TrainConfig) -> ModelConfig:
-    """Fold the mask ablation switch into the model configuration."""
-    if train_config.no_mask and model_config.use_mask:
-        return replace(model_config, use_mask=False)
-    return model_config
 
 
 def sequence_loss(
@@ -128,15 +120,21 @@ def _ordered_targets(
     return framed
 
 
+def label_set_pairs(
+    model: Seq2LabelModel, examples: list[Example], beam_size: int, max_steps: int
+) -> list[tuple[set[int], set[int]]]:
+    """(reference label set, predicted label set) for each example."""
+    return [
+        (set(ex.label_ids), set(inference.predict_set(model, ex.token_ids, beam_size, max_steps)[0]))
+        for ex in examples
+    ]
+
+
 def evaluate_greedy(
     model: Seq2LabelModel, examples: list[Example], max_steps: int
 ) -> float:
     """Micro-F1 of greedy decoding against the reference label sets."""
-    pairs = []
-    for ex in examples:
-        pred, _ = inference.predict_set(model, ex.token_ids, 1, max_steps)
-        pairs.append((set(ex.label_ids), set(pred)))
-    return metrics.micro_prf(pairs)[2]
+    return metrics.micro_prf(label_set_pairs(model, examples, 1, max_steps))[2]
 
 
 def fit(
@@ -153,8 +151,6 @@ def fit(
     epoch is the earliest one with the strictly highest validation micro-F1
     (the last epoch when there is no validation set).
     """
-    if config.no_mask and model.config.use_mask:
-        raise ConfigError("no_mask is set but the model was built with masking; apply_ablation first")
     if not train_examples:
         raise ConfigError("no training examples")
     rng = RngStream(config.seed)

@@ -187,3 +187,15 @@ class TestCorruption:
         tamper_header(path, mutate)
         with pytest.raises(DataError, match="shape"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h.update(vocab=h["vocab"] + "".join(f"extra{i}\t1\n" for i in range(30))),
+        lambda h: h.update(label_vocab="".join(h["label_vocab"].splitlines(keepends=True)[:-1])),
+        lambda h: h.update(vocab=5),
+        lambda h: h.update(max_label_steps=0),
+    ], ids=["more-tokens", "fewer-labels", "vocab-not-text", "no-steps"])
+    def test_header_inconsistent_with_model(self, tmp_path, mutate):
+        path = self.make(tmp_path)
+        tamper_header(path, mutate)
+        with pytest.raises(DataError, match="header"):
+            load_checkpoint(path)

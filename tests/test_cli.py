@@ -309,6 +309,49 @@ class TestConfigFile:
         assert "key=value" in err
 
 
+class TestMaskAblation:
+    def test_no_mask_reaches_the_model(self, workdir, tmp_path, capsys):
+        assert RunConfig(no_mask=True).model_config().use_mask is False
+        assert RunConfig().model_config().use_mask is True
+        ckpt = str(tmp_path / "m.ckpt")
+        code, _, _ = run(["train", "--train", workdir["train"], "--checkpoint", ckpt, "--no-mask"]
+                         + FAST, capsys)
+        assert code == 0
+        for path, use_mask in ((ckpt, False), (workdir["ckpt"], True)):
+            blob = open(path, "rb").read()
+            header = json.loads(blob.split(b"\n", 2)[1])
+            assert header["model_config"]["use_mask"] is use_mask
+
+
+class TestUndecodableInput:
+    """Bytes that are not UTF-8 are a usage problem in a config file and a data
+    problem in a data file: exit 1 or 2 with an error line, never a traceback."""
+
+    @pytest.mark.parametrize("bad, argv, want", [
+        ("run.cfg", ["train", "--config", "{bad}", "--train", "{train}", "--checkpoint", "{ckpt}"], 1),
+        ("t.jsonl", ["train", "--train", "{bad}", "--checkpoint", "{ckpt}"], 2),
+        ("t.jsonl", ["evaluate", "--checkpoint", "{model}", "--test", "{bad}"], 2),
+        ("in.jsonl", ["predict", "--checkpoint", "{model}", "--input", "{bad}", "--out", "{ckpt}"], 2),
+        ("v.tsv", ["train", "--train", "{train}", "--vocab", "{bad}", "--label-vocab", "{good}",
+                   "--checkpoint", "{ckpt}"], 2),
+        ("l.tsv", ["train", "--train", "{train}", "--vocab", "{good}", "--label-vocab", "{bad}",
+                   "--checkpoint", "{ckpt}"], 2),
+    ], ids=["config", "train-jsonl", "test-jsonl", "predict-input", "vocab", "label-vocab"])
+    def test_exit_code_and_message(self, workdir, tmp_path, capsys, bad, argv, want):
+        names = {"bad": str(tmp_path / bad), "good": str(tmp_path / "good.tsv"),
+                 "train": workdir["train"], "model": workdir["ckpt"], "ckpt": str(tmp_path / "out")}
+        with open(names["bad"], "wb") as f:
+            f.write(b"caf\xe9\t1\n")
+        with open(names["good"], "w") as f:
+            f.write("doc00\t1\n")
+        argv = [a.format(**names) for a in argv] + (FAST if argv[0] == "train" else [])
+        code, _, err = run(argv, capsys)
+        assert code == want
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "UTF-8" in err and (want == 1 or "line 1" in err)
+        assert not os.path.exists(names["ckpt"])
+
+
 class TestExitCodes:
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run(["train", "--bogus-flag", "1"], capsys)
@@ -375,6 +418,19 @@ class TestCheckpointErrors:
         assert "error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(vocab=h["vocab"] + "".join(f"extra{i}\t1\n" for i in range(30))),
+        lambda h: h.update(label_vocab="".join(h["label_vocab"].splitlines(keepends=True)[:-1])),
+    ], ids=["more-tokens-than-vocab-size", "fewer-labels-than-num-labels"])
+    def test_vocabulary_size_mismatch_exits_two(self, workdir, tmp_path, capsys, edit):
+        bad, inp, out = (str(tmp_path / name) for name in ("bad.ckpt", "in.jsonl", "p.jsonl"))
+        self.rewrite_header(workdir["ckpt"], bad, edit)
+        write_jsonl(inp, [{"text": "doc00 f00 f01"}])
+        code, _, err = run(["predict", "--checkpoint", bad, "--input", inp, "--out", out], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not os.path.exists(out)
+
 
 class TestOutputPaths:
     """An output that cannot be written exits 2 before any data is read or trained on."""
@@ -404,6 +460,17 @@ class TestOutputPaths:
         assert "error:" in err and "Traceback" not in err
         assert "epoch 1" not in out
         assert os.listdir(tmp_path) == ["in.jsonl"]  # nothing written, not even an empty file
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--checkpoint", "{ckpt}", "--input", "{in}", "--out", "{tmp}/p.jsonl", "--max-steps", "0"],
+        ["synth", "--out", "{tmp}/s.jsonl", "--seed", "-1"],
+        ["build-vocab", "--train", "{train}", "--vocab", "{tmp}/v.tsv", "--label-vocab", ""],
+    ], ids=["predict-zero-steps", "synth-negative-seed", "build-vocab-empty-path"])
+    def test_bad_option_exits_one_before_writing(self, inputs, tmp_path, capsys, argv):
+        code, _, err = run([a.format(**inputs, tmp=str(tmp_path)) for a in argv], capsys)
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["in.jsonl"]
 
     def test_failed_write_exits_two(self, workdir, capsys):
         # a path the checks accept but whose write fails: a full device

@@ -132,6 +132,19 @@ class TestLoadJsonl:
         with pytest.raises(CorpusError, match="no records"):
             load_jsonl(str(path))
 
+    def test_undecodable_bytes_name_their_line(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"text": "ok", "labels": ["a"]}\r\n{"text": "caf\xe9", "labels": ["a"]}\n')
+        with pytest.raises(CorpusError, match="line 2: invalid UTF-8"):
+            load_jsonl(str(path))
+
+    @pytest.mark.parametrize("cls", [Vocabulary, LabelVocabulary])
+    def test_undecodable_vocabulary_file(self, tmp_path, cls):
+        path = tmp_path / "v.tsv"
+        path.write_bytes(b"a\t3\n\xff\t1\n")
+        with pytest.raises(CorpusError, match="line 2: invalid UTF-8"):
+            cls.load(str(path))
+
 
 class TestEncodeText:
     def test_unknown_tokens_map_to_unk(self):

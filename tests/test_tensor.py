@@ -18,6 +18,7 @@ from seq2label.numerics import (
     dropout,
     no_grad,
     sigmoid,
+    softmax,
     softmax_masked,
     take_rows,
     tanh,
@@ -160,6 +161,22 @@ class TestGradients:
         x = rng.normal(size=5)
         mask = np.array([0.0, -np.inf, 0.0, 0.0, -np.inf])
         check_grads(lambda t: cross_entropy(softmax_masked(t, mask), 2), x)
+
+    def test_softmax_cross_entropy_grad(self):
+        x = np.random.default_rng(6).normal(size=4)
+        check_grads(lambda t: cross_entropy(softmax(t), 1), x)
+
+    @given(st.lists(st.floats(-700, 700), min_size=1, max_size=8), st.integers(0, 7))
+    @settings(max_examples=50, deadline=None)
+    def test_softmax_is_bitwise_masked_softmax_with_nothing_masked(self, logits, target):
+        target %= len(logits)
+        a, b = Tensor(logits, requires_grad=True), Tensor(logits, requires_grad=True)
+        pa, pb = softmax(a), softmax_masked(b, np.zeros(len(logits)))
+        assert pa.data.tobytes() == pb.data.tobytes()
+        if pa.data[target] > 0.0:
+            cross_entropy(pa, target).backward()
+            cross_entropy(pb, target).backward()
+            assert a.grad.tobytes() == b.grad.tobytes()
 
     def test_grad_accumulates_across_uses(self):
         x = Tensor([2.0, 3.0], requires_grad=True)

@@ -10,7 +10,7 @@ from seq2label.corpus import LabelVocabulary, Vocabulary
 from seq2label.errors import ConfigError, NumericError
 from seq2label.model import ModelConfig, Seq2LabelModel
 from seq2label.numerics import RngStream
-from seq2label.trainer import TrainConfig, apply_ablation, fit, sequence_loss, train_epoch
+from seq2label.trainer import TrainConfig, fit, sequence_loss, train_epoch
 
 
 def zeroed_model(num_labels=3, vocab_size=6, **cfg):
@@ -239,19 +239,3 @@ class TestFit:
         m = zeroed_model()
         with pytest.raises(ConfigError, match="no training"):
             fit(m, [], None, TrainConfig(), lv)
-
-
-class TestAblation:
-    def test_apply_ablation_folds_mask_flag(self):
-        mc = ModelConfig()
-        tc = TrainConfig(no_mask=True)
-        assert apply_ablation(mc, tc).use_mask is False
-        assert apply_ablation(mc, TrainConfig()).use_mask is True
-
-    def test_fit_rejects_inconsistent_mask_flags(self):
-        records = synthetic.memorization_corpus(0)[:2]
-        examples, vocab, lv = build_corpus(records)
-        m = Seq2LabelModel(ModelConfig(embed_size=4, encoder_hidden=3, decoder_hidden=4),
-                           len(vocab), len(lv), RngStream(0))
-        with pytest.raises(ConfigError, match="apply_ablation"):
-            fit(m, examples, None, TrainConfig(no_mask=True), lv)
