@@ -75,8 +75,8 @@ def save_checkpoint(
 def load_checkpoint(path: str) -> Checkpoint:
     """Rebuild the model and overwrite every tensor with the stored bytes.
 
-    An unreadable file, a malformed header, or vocabularies whose sizes differ
-    from the model's raise DataError.
+    An unreadable file, a malformed header, vocabularies whose sizes differ
+    from the model's, or a stored value that is not finite raise DataError.
     """
     try:
         with open(path, "rb") as f:
@@ -134,6 +134,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     if offset != len(blob):
         raise DataError(f"{path} has {len(blob) - offset} trailing bytes")
 
+    for kind, block in zip(("tensor", "Adam m of", "Adam v of"), blocks):
+        for name, arr in zip(names, block):
+            if not np.isfinite(arr).all():
+                raise DataError(f"{path} {kind} {name} holds a non-finite value")
     for name, arr in zip(names, blocks[0]):
         t = model.params[name]
         if arr.shape != t.data.shape:

@@ -77,6 +77,10 @@ class Vocabulary:
         return cls(*_parse_tsv(_text_lines(path)))
 
 
+# a tab splits a vocabulary line; str.splitlines also ends a line at each of the rest
+_LABEL_BREAKERS = "\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 class LabelVocabulary:
     """Label <-> id map ordered by descending frequency.
 
@@ -91,8 +95,8 @@ class LabelVocabulary:
         if not labels:
             raise DataError("label vocabulary is empty")
         for lab in labels:
-            if "\t" in lab or "\n" in lab:
-                raise DataError(f"label {lab!r} contains tab or newline")
+            if any(ch in lab for ch in _LABEL_BREAKERS):
+                raise DataError(f"label {lab!r} contains a tab or a line break")
         self._labels = list(labels)
         self._freqs = list(freqs)
         self._ids = {lab: i for i, lab in enumerate(labels)}

@@ -29,7 +29,6 @@ from .numerics import (
     sigmoid,
     softmax,
     softmax_masked,
-    take_rows,
     tanh,
 )
 
@@ -153,7 +152,7 @@ class Seq2LabelModel:
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
             raise ConfigError(f"token_ids must be a non-empty vector, got shape {ids.shape}")
-        return take_rows(self.params["embed.tokens"], ids)
+        return self.params["embed.tokens"][ids]
 
     def encode(self, token_ids: np.ndarray, train: bool = False, rng: RngStream | None = None) -> EncoderOutput:
         """Run the bidirectional encoder; states concatenate fwd and bwd halves."""
@@ -199,9 +198,9 @@ class Seq2LabelModel:
         """Embedding of the previous prediction, per the configured mix mode."""
         table = self.params["embed.labels"]
         if state.y_prev is None:
-            return table.row(self.bos_class)
+            return table[self.bos_class]
         if self.config.ge_mode == "off":
-            return table.row(state.prev_class)
+            return table[state.prev_class]
         if self.config.ge_mode == "gate":
             return self.global_embedding(state.y_prev, state.prev_class)
         return self.fixed_lambda_embedding(state.y_prev, state.prev_class)
@@ -213,8 +212,8 @@ class Seq2LabelModel:
         output distribution (the terminal class carries no embedding mass).
         """
         table = self.params["embed.labels"]
-        e = table.row(prev_class)
-        avg = y_prev.slice(0, self.num_labels) @ table.rows(0, self.num_labels)
+        e = table[prev_class]
+        avg = y_prev[:self.num_labels] @ table[:self.num_labels]
         gate = sigmoid((self.params["ge.w_choice"] @ e) + (self.params["ge.w_average"] @ avg))
         one = Tensor(np.ones(self.config.embed_size))
         return ((one - gate) * e) + (gate * avg)
@@ -226,11 +225,11 @@ class Seq2LabelModel:
         blend arithmetic, so results match ge_mode "off" bit for bit.
         """
         table = self.params["embed.labels"]
-        e = table.row(prev_class)
+        e = table[prev_class]
         lam = self.config.ge_lambda
         if lam == 0.0:
             return e
-        avg = y_prev.slice(0, self.num_labels) @ table.rows(0, self.num_labels)
+        avg = y_prev[:self.num_labels] @ table[:self.num_labels]
         return (e * (1.0 - lam)) + (avg * lam)
 
     def decoder_step(

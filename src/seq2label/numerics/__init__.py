@@ -13,7 +13,6 @@ from .tensor import (
     sigmoid,
     softmax,
     softmax_masked,
-    take_rows,
     tanh,
 )
 
@@ -34,6 +33,5 @@ __all__ = [
     "sigmoid",
     "softmax",
     "softmax_masked",
-    "take_rows",
     "tanh",
 ]

@@ -4,8 +4,8 @@ parameter initializer.
 Weight layout: wx is (input_dim, 4H), wh is (H, 4H), b is (4H,), with the four
 gate blocks ordered input, forget, cell, output. Both ops share one step
 kernel (the logistic function over all 4H pre-activations, tanh on the cell
-block, then the state update) and differentiate it by hand from the saved
-gate values.
+block, then the state update) and one step backward, derived by hand from
+the saved gate values.
 """
 
 from __future__ import annotations
@@ -44,6 +44,19 @@ def _gate_slopes(act: np.ndarray, hd: int) -> np.ndarray:
     g = act[..., 2 * hd:3 * hd]
     slopes[..., 2 * hd:3 * hd] = 1.0 - g * g
     return slopes
+
+
+def _step_back(dh, dc, a, slopes, c_prev, tanh_c, dtanh_c, d_act):
+    """Backward of one ``_step`` from the gradients reaching h' and c'; returns
+    (d pre-activations, d c_prev). ``slopes`` is ``_gate_slopes`` of ``a`` and
+    ``d_act`` a (4H,) scratch buffer."""
+    hd = dh.shape[0]
+    dc = dc + (dh * a[3 * hd:]) * dtanh_c
+    d_act[:hd] = dc * a[2 * hd:3 * hd]
+    d_act[hd:2 * hd] = dc * c_prev
+    d_act[2 * hd:3 * hd] = dc * a[:hd]
+    d_act[3 * hd:] = dh * tanh_c
+    return d_act * slopes, dc * a[hd:2 * hd]
 
 
 def _previous(states: np.ndarray, reverse: bool) -> np.ndarray:
@@ -90,15 +103,8 @@ def lstm_sequence(xs: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool =
         d_act = np.empty(4 * hd)
         dh, dc = np.zeros(hd), np.zeros(hd)
         for t in reversed(order):
-            a = acts[t]
             dh = g[t] + dh
-            dc = dc + (dh * a[3 * hd:]) * dtanh_c[t]
-            d_act[:hd] = dc * a[2 * hd:3 * hd]
-            d_act[hd:2 * hd] = dc * c_prev[t]
-            d_act[2 * hd:3 * hd] = dc * a[:hd]
-            d_act[3 * hd:] = dh * tanh_c[t]
-            d_pre[t] = d_act * slopes[t]
-            dc = dc * a[hd:2 * hd]
+            d_pre[t], dc = _step_back(dh, dc, acts[t], slopes[t], c_prev[t], tanh_c[t], dtanh_c[t], d_act)
             dh = w_h @ d_pre[t]
         _accum(xs, d_pre @ wx.data.T)
         _accum(wx, x.T @ d_pre)
@@ -117,42 +123,27 @@ def lstm_cell_step(
 ) -> tuple[Tensor, Tensor]:
     """Advance an LSTM cell one step; returns (h', c').
 
-    Records three graph nodes: the activated gates, the new cell state and
-    the new hidden state.
+    Records one graph node holding the joined [h', c'], and one indexing node
+    reading out each half.
     """
     h, c = state
     hd = h.data.shape[0]
     _check_weights(x.data.shape[0] if x.data.ndim == 1 else -1, hd, wx, wh, b)
     act, c_val, tanh_c, h_val = _step((x.data @ wx.data) + (h.data @ wh.data) + b.data, c.data, hd)
 
-    def gates_bw(g, x=x, h=h, wx=wx, wh=wh, b=b):
-        d_pre = g * _gate_slopes(act, hd)
+    def bw(g, x=x, h=h, c=c, wx=wx, wh=wh, b=b):
+        d_pre, dc_prev = _step_back(
+            g[:hd], g[hd:], act, _gate_slopes(act, hd), c.data, tanh_c, 1.0 - tanh_c * tanh_c, np.empty(4 * hd)
+        )
         _accum(x, wx.data @ d_pre)
         _accum(h, wh.data @ d_pre)
         _accum(wx, np.outer(x.data, d_pre))
         _accum(wh, np.outer(h.data, d_pre))
         _accum(b, d_pre)
+        _accum(c, dc_prev)
 
-    gates = _node(act, (x, h, wx, wh, b), gates_bw)
-
-    def cell_bw(g, c=c):
-        d_act = np.zeros(4 * hd)
-        d_act[:hd] = g * act[2 * hd:3 * hd]
-        d_act[hd:2 * hd] = g * c.data
-        d_act[2 * hd:3 * hd] = g * act[:hd]
-        _accum(gates, d_act)
-        _accum(c, g * act[hd:2 * hd])
-
-    c_new = _node(c_val, (gates, c), cell_bw)
-
-    def hidden_bw(g):
-        d_act = np.zeros(4 * hd)
-        d_act[3 * hd:] = g * tanh_c
-        _accum(gates, d_act)
-        _accum(c_new, (g * act[3 * hd:]) * (1.0 - tanh_c * tanh_c))
-
-    h_new = _node(h_val, (gates, c_new), hidden_bw)
-    return h_new, c_new
+    cell = _node(np.concatenate([h_val, c_val]), (x, h, c, wx, wh, b), bw)
+    return cell[:hd], cell[hd:]
 
 
 def add_lstm_params(

@@ -175,46 +175,36 @@ class Tensor:
             raise ShapeError(f"unsupported matmul ranks: {a.shape} @ {b.shape}")
         return _node(a @ b, (self, other), bw)
 
-    # -- shape surgery ---------------------------------------------------------
+    # -- indexing --------------------------------------------------------------
 
-    def slice(self, start: int, stop: int) -> "Tensor":
-        """Contiguous 1-D slice [start, stop)."""
-        if self.data.ndim != 1:
-            raise ShapeError(f"slice expects a vector, got shape {self.data.shape}")
-        n = self.data.shape[0]
+    __iter__ = None  # indexing must not make a tensor iterable: loops would end in ShapeError
 
-        def bw(g, x=self, start=start, stop=stop, n=n):
-            full = np.zeros(n)
-            full[start:stop] = g
-            _accum(x, full)
+    def __getitem__(self, index) -> "Tensor":
+        """Entries along the first axis of a vector or matrix: an int, a slice,
+        or an index vector (repeated indices accumulate gradient)."""
+        shape = self.data.shape
+        if len(shape) not in (1, 2):
+            raise ShapeError(f"indexing expects a vector or matrix, got shape {shape}")
+        if isinstance(index, (int, np.integer)):
+            if not 0 <= index < shape[0]:
+                raise ShapeError(f"index {index} out of range for shape {shape}")
+        elif not isinstance(index, slice):
+            idx = np.asarray(index)
+            bad = idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= shape[0])
+            if idx.ndim != 1 or bad:
+                raise ShapeError(f"index array must be an integer vector within range for shape {shape}")
+            index = idx.astype(np.int64, copy=False)
 
-        return _node(self.data[start:stop].copy(), (self,), bw)
+        def bw(g, x=self, index=index):
+            # add into the gradient buffer itself: no table-sized temporary
+            if x.grad is None:
+                x.grad = np.zeros(shape)
+            if isinstance(index, np.ndarray):
+                np.add.at(x.grad, index, g)
+            else:
+                x.grad[index] += g
 
-    def row(self, i: int) -> "Tensor":
-        """Row i of a matrix as a vector (embedding-style lookup)."""
-        if self.data.ndim != 2:
-            raise ShapeError(f"row expects a matrix, got shape {self.data.shape}")
-        if not 0 <= i < self.data.shape[0]:
-            raise ShapeError(f"row {i} out of range for shape {self.data.shape}")
-
-        def bw(g, x=self, i=i):
-            full = np.zeros(x.data.shape)
-            full[i] = g
-            _accum(x, full)
-
-        return _node(self.data[i].copy(), (self,), bw)
-
-    def rows(self, start: int, stop: int) -> "Tensor":
-        """Contiguous block of matrix rows [start, stop)."""
-        if self.data.ndim != 2:
-            raise ShapeError(f"rows expects a matrix, got shape {self.data.shape}")
-
-        def bw(g, x=self, start=start, stop=stop):
-            full = np.zeros(x.data.shape)
-            full[start:stop] = g
-            _accum(x, full)
-
-        return _node(self.data[start:stop].copy(), (self,), bw)
+        return _node(self.data[index].copy(), (self,), bw)
 
     def sum(self) -> "Tensor":
         def bw(g, x=self):
@@ -289,23 +279,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
             off += n
 
     return _node(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), bw)
-
-
-def take_rows(m: Tensor, indices) -> Tensor:
-    """Gather matrix rows by index; duplicate indices accumulate gradient."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if m.data.ndim != 2 or idx.ndim != 1:
-        raise ShapeError(f"take_rows expects (matrix, index vector), got {m.data.shape} and {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[0]):
-        raise ShapeError(f"row index out of range for shape {m.data.shape}")
-
-    def bw(g, m=m, idx=idx):
-        # scatter into the gradient buffer itself: no dense (V, k) temporary
-        if m.grad is None:
-            m.grad = np.zeros(m.data.shape)
-        np.add.at(m.grad, idx, g)
-
-    return _node(m.data[idx], (m,), bw)
 
 
 # -- classifier head primitives ---------------------------------------------------

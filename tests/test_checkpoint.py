@@ -188,6 +188,23 @@ class TestCorruption:
         with pytest.raises(DataError, match="shape"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("block, kind", [(0, "tensor"), (1, "Adam m of"), (2, "Adam v of")])
+    def test_non_finite_value_names_its_tensor(self, tmp_path, value, block, kind):
+        model, vocab, lv, _ = small_setup()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, model, vocab, lv, save_adam=True)
+        blob = bytearray(open(path, "rb").read())
+        # the first value of out.w_logits in the chosen block
+        names = model.params.names()
+        sizes = [model.params[n].data.size for n in names]
+        k = names.index("out.w_logits")
+        at = blob.index(b"\n", len(MAGIC)) + 1 + 8 * (block * sum(sizes) + sum(sizes[:k]))
+        blob[at:at + 8] = np.array([value], dtype="<f8").tobytes()
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(DataError, match=f"{kind} out.w_logits holds a non-finite value"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("mutate", [
         lambda h: h.update(vocab=h["vocab"] + "".join(f"extra{i}\t1\n" for i in range(30))),
         lambda h: h.update(label_vocab="".join(h["label_vocab"].splitlines(keepends=True)[:-1])),

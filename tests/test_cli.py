@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -395,6 +396,26 @@ class TestCheckpointErrors:
         with open(dst, "wb") as f:
             f.write(blob[:magic_end] + json.dumps(header).encode("utf-8") + blob[header_end:])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_non_finite_value_exits_two_before_writing(self, workdir, tmp_path, capsys, value, command):
+        blob = bytearray(open(workdir["ckpt"], "rb").read())
+        header_end = blob.index(b"\n", blob.index(b"\n") + 1)
+        entries = json.loads(blob[blob.index(b"\n") + 1:header_end])["tensors"]
+        offset = header_end + 1
+        for entry in entries:
+            if entry["name"] == "out.w_logits":
+                break
+            offset += 8 * math.prod(entry["shape"])
+        blob[offset:offset + 8] = struct.pack("<d", value)
+        bad, out = tmp_path / "bad.ckpt", tmp_path / "q.jsonl"
+        bad.write_bytes(bytes(blob))
+        data = ["--input", workdir["test"]] if command == "predict" else ["--test", workdir["test"]]
+        code, _, err = run([command, "--checkpoint", str(bad), *data, "--out", str(out)], capsys)
+        assert code == 2
+        assert "error:" in err and "out.w_logits" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["bad.ckpt"]
+
     def test_missing_checkpoint_exits_two(self, workdir, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "seq2label.cli", "evaluate",
@@ -471,6 +492,22 @@ class TestOutputPaths:
         assert code == 1
         assert "error:" in err and "Traceback" not in err
         assert os.listdir(tmp_path) == ["in.jsonl"]
+
+    @pytest.mark.parametrize("label", ["x\u2028y", "a\rb"], ids=["line-separator", "carriage-return"])
+    def test_label_with_line_break_exits_two_before_writing(self, tmp_path, capsys, label):
+        # such a label would be written into vocabulary files and checkpoints
+        # that cannot be read back
+        train = tmp_path / "t.jsonl"
+        write_jsonl(str(train), [{"text": "red fish", "labels": [label]}, {"text": "blue", "labels": ["c"]}])
+        code, out, err = run(
+            ["train", "--train", str(train), "--checkpoint", str(tmp_path / "m.ckpt"),
+             "--vocab", str(tmp_path / "v.tsv"), "--label-vocab", str(tmp_path / "l.tsv")] + FAST,
+            capsys,
+        )
+        assert code == 2
+        assert "error:" in err and "line break" in err and "Traceback" not in err
+        assert "epoch 1" not in out
+        assert os.listdir(tmp_path) == ["t.jsonl"]
 
     def test_failed_write_exits_two(self, workdir, capsys):
         # a path the checks accept but whose write fails: a full device

@@ -74,6 +74,14 @@ class TestLabelVocabulary:
         with pytest.raises(DataError):
             LabelVocabulary(["a\nb"], [1])
 
+    def test_rejects_every_line_break(self):
+        # any character str.splitlines ends a line at would break from_text/load
+        breaks = [chr(i) for i in range(0x3000) if len(f"a{chr(i)}b".splitlines()) > 1]
+        assert "\u2028" in breaks and "\r" in breaks
+        for ch in breaks:
+            with pytest.raises(DataError, match="line break"):
+                LabelVocabulary(["ok", f"x{ch}y"], [2, 1])
+
     def test_text_round_trip(self):
         lv = LabelVocabulary(["x", "y"], [9, 2])
         lv2 = LabelVocabulary.from_text(lv.to_text())

@@ -30,10 +30,10 @@ def graph_cell_step(x, state, wx, wh, b):
     h, c = state
     hidden = h.data.shape[0]
     pre = (x @ wx) + (h @ wh) + b
-    i = sigmoid(pre.slice(0, hidden))
-    f = sigmoid(pre.slice(hidden, 2 * hidden))
-    g = tanh(pre.slice(2 * hidden, 3 * hidden))
-    o = sigmoid(pre.slice(3 * hidden, 4 * hidden))
+    i = sigmoid(pre[:hidden])
+    f = sigmoid(pre[hidden:2 * hidden])
+    g = tanh(pre[2 * hidden:3 * hidden])
+    o = sigmoid(pre[3 * hidden:])
     c_new = (f * c) + (i * g)
     return o * tanh(c_new), c_new
 
@@ -66,7 +66,7 @@ def graph_encode(model, token_ids, train=False, rng=None):
     cfg = model.config
     mode = "train" if train else "eval"
     x = dropout(model.embed(token_ids), cfg.dropout, mode, rng)
-    inputs = [x.row(t) for t in range(x.data.shape[0])]
+    inputs = [x[t] for t in range(x.data.shape[0])]
     for layer in range(cfg.encoder_layers):
         halves = []
         for direction in ("fwd", "bwd"):
@@ -229,7 +229,7 @@ class TestSequence:
         out = lstm_sequence(*fused, reverse=reverse)
         (out * Tensor(weights)).sum().backward()
         xs, wx, wh, b = graph
-        rows = graph_sequence([xs.row(t) for t in range(steps)], wx, wh, b, reverse=reverse)
+        rows = graph_sequence([xs[t] for t in range(steps)], wx, wh, b, reverse=reverse)
         loss = None
         for t, h in enumerate(rows):
             term = (h * Tensor(weights[t])).sum()
@@ -295,11 +295,29 @@ class TestCell:
             assert np.max(np.abs(f.grad - g.grad)) <= 1e-12, name
 
     def test_records_three_nodes(self):
+        # one cell node holding [h', c'], read out by one indexing node per half
         x = Tensor(np.ones(3), requires_grad=True)
         wx, wh, b = (Tensor(a) for a in random_weights(np.random.default_rng(0), 3, 2))
         h, c = lstm_cell_step(x, (Tensor(np.zeros(2)), Tensor(np.zeros(2))), wx, wh, b)
-        (gates,) = c._parents
-        assert h._parents == (gates, c) and gates._parents == (x,)
+        (cell,) = h._parents
+        assert c._parents == (cell,) and cell._parents == (x,)
+        assert np.array_equal(cell.data, np.concatenate([h.data, c.data]))
+
+    def test_step_from_zero_state_equals_one_row_sequence(self):
+        # both ops run the same step kernel and the same step backward
+        rng = np.random.default_rng(8)
+        arrays = (rng.normal(size=(1, 3)),) + random_weights(rng, 3, 4)
+        r = rng.normal(size=4)
+        xs, wx, wh, b = seq = [Tensor(a, requires_grad=True) for a in arrays]
+        out = lstm_sequence(xs, wx, wh, b)
+        (out * Tensor(r[None])).sum().backward()
+        x, cwx, cwh, cb = cell = [Tensor(a, requires_grad=True) for a in (arrays[0][0],) + arrays[1:]]
+        h, _ = lstm_cell_step(x, (Tensor(np.zeros(4)), Tensor(np.zeros(4))), cwx, cwh, cb)
+        (h * Tensor(r)).sum().backward()
+        assert np.array_equal(out.data[0], h.data)
+        assert np.array_equal(xs.grad[0], x.grad)
+        for name, s, c in zip(("wx", "wh", "b"), seq[1:], cell[1:]):
+            assert np.array_equal(s.grad, c.grad), name
 
 
 class TestEncoder:

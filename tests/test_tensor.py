@@ -20,7 +20,6 @@ from seq2label.numerics import (
     sigmoid,
     softmax,
     softmax_masked,
-    take_rows,
     tanh,
 )
 
@@ -125,28 +124,28 @@ class TestGradients:
     def test_shape_surgery(self):
         rng = np.random.default_rng(4)
         x, m = rng.normal(size=6), rng.normal(size=(4, 3))
-        check_grads(lambda t: t.slice(1, 4).sum(), x)
-        check_grads(lambda t: t.row(2).sum(), m)
-        check_grads(lambda t: t.rows(1, 3).sum(), m)
+        check_grads(lambda t: t[1:4].sum(), x)
+        check_grads(lambda t: t[2].sum(), m)
+        check_grads(lambda t: t[1:3].sum(), m)
         check_grads(lambda a, b: concat([a, b]).sum(), x, x.copy())
         check_grads(lambda a, b: (concat([a, b]) @ Tensor([1.0, -1.0, 2.0])).sum(), m[:, :1].copy(), m[:, 1:].copy())
 
     def test_take_rows_accumulates_duplicates(self):
         table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        take_rows(table, [1, 1, 2]).sum().backward()
+        table[[1, 1, 2]].sum().backward()
         assert np.array_equal(table.grad, [[0, 0], [2, 2], [1, 1]])
 
     def test_take_rows_scatter_matches_dense_gradient(self):
         # the gradient lands in a buffer an earlier use of the table already
         # holds; the result must equal adding a dense scatter matrix to it
         rng = np.random.default_rng(6)
-        table = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
-        idx = np.array([4, 0, 4, 6, 4, 0])
-        w, v = rng.normal(size=(6, 3)), rng.normal(size=(7, 3))
-        ((take_rows(table, idx) * Tensor(w)).sum() + (table * Tensor(v)).sum()).backward()
-        dense = np.zeros((7, 3))
-        np.add.at(dense, idx, w)
-        assert np.max(np.abs(table.grad - (v + dense))) <= 1e-12
+        for idx in (np.array([4, 0, 4, 6, 4, 0]), 4, slice(1, 5)):
+            table = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+            w, v = rng.normal(size=table.data[idx].shape), rng.normal(size=(7, 3))
+            ((table[idx] * Tensor(w)).sum() + (table * Tensor(v)).sum()).backward()
+            dense = np.zeros((7, 3))
+            np.add.at(dense, idx, w)
+            assert np.max(np.abs(table.grad - (v + dense))) <= 1e-12, idx
 
     def test_concat_rejects_mixed_shapes(self):
         with pytest.raises(ShapeError):
@@ -190,6 +189,39 @@ class TestGradients:
             y = y * 1.0
         y.sum().backward()
         assert np.array_equal(x.grad, [1.0, 1.0])
+
+
+class TestIndexing:
+    CASES = [3, slice(1, 4), np.array([4, 0, 4, 2])]
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 3)])
+    @pytest.mark.parametrize("index", CASES, ids=["int", "slice", "vector"])
+    def test_values_and_gradients(self, shape, index):
+        rng = np.random.default_rng(7)
+        data = rng.normal(size=shape)
+        assert np.array_equal(Tensor(data)[index].data, data[index])
+        w = rng.normal(size=data[index].shape)
+        check_grads(lambda t: (t[index] * Tensor(w)).sum(), data)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 3)])
+    def test_rejects_bad_indices(self, shape):
+        t = Tensor(np.zeros(shape))
+        bad = (5, -1, np.array([0, 5]), np.array([-1]), np.array([[0, 1]]), [1.5], np.array([True, False]))
+        for index in bad:
+            with pytest.raises(ShapeError):
+                t[index]
+        with pytest.raises(ShapeError, match="vector or matrix"):
+            Tensor(1.0)[0]
+        with pytest.raises(TypeError):
+            list(t)
+
+    def test_value_is_not_a_view(self):
+        param = Tensor(np.arange(15.0).reshape(5, 3), requires_grad=True)
+        for index in self.CASES:
+            out = param[index]
+            assert not np.shares_memory(out.data, param.data)
+            out.data[...] = -1.0
+        assert np.array_equal(param.data, np.arange(15.0).reshape(5, 3))
 
 
 class TestGraphControl:
