@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 from . import corpus, inference, metrics, synthetic, trainer
@@ -185,6 +186,31 @@ def _load_examples(path: str, vocab: Vocabulary, label_vocab: LabelVocabulary, m
     return corpus.encode_examples(_load_records(path), vocab, label_vocab, max_len)
 
 
+@contextmanager
+def _atomic_output(path: str):
+    """A text file that appears at ``path`` only when the block completes.
+
+    It is written to a hidden file beside the target and moved over it at
+    the end, so a failure partway leaves no partial output (and an existing
+    file as it was). A path that is not a regular file, such as /dev/stdout,
+    is written directly.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as f:
+            yield f
+        return
+    folder, name = os.path.split(os.path.realpath(path))  # replace a symlink's target, not the link
+    tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+    f = open(tmp, "x", encoding="utf-8")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, os.path.join(folder, name))
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=False)
     if out:
@@ -297,9 +323,9 @@ def cmd_predict(cfg: RunConfig) -> int:
     records = _load_records(cfg.input, require_labels=False)
     max_steps = _decode_steps(cfg, ckpt)
 
-    out_f = open(cfg.out, "w", encoding="utf-8") if cfg.out else sys.stdout
-    attn_f = open(cfg.attn, "w", encoding="utf-8") if cfg.attn else None
-    try:
+    with ExitStack() as outputs:
+        out_f = outputs.enter_context(_atomic_output(cfg.out)) if cfg.out else sys.stdout
+        attn_f = outputs.enter_context(_atomic_output(cfg.attn)) if cfg.attn else None
         for i, rec in enumerate(records):
             try:
                 token_ids = corpus.encode_text(rec["text"], ckpt.vocab, cfg.max_len)
@@ -322,11 +348,6 @@ def cmd_predict(cfg: RunConfig) -> int:
                     )
                     + "\n"
                 )
-    finally:
-        if cfg.out:
-            out_f.close()
-        if attn_f is not None:
-            attn_f.close()
     return 0
 
 

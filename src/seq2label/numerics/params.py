@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..errors import ConfigError, NumericError
+from ..errors import ConfigError, NumericError, ShapeError
 from .tensor import Tensor
+
+# Adam sweeps each parameter in blocks of this many elements (512 rows of a
+# 64-wide embedding table): a block and two block-sized scratch arrays
+# (256 KiB each) stay in cache through all of the update's elementwise steps.
+ADAM_BLOCK = 32_768
 
 
 class ParameterStore:
@@ -20,6 +27,7 @@ class ParameterStore:
         self._adam_m: dict[str, np.ndarray] = {}
         self._adam_v: dict[str, np.ndarray] = {}
         self.step_count = 0
+        self._buffer = np.empty(0)  # scratch for grad_norm and adam_step, see _scratch()
 
     def add(self, name: str, shape: tuple[int, ...], rng, scale: float = 0.1) -> Tensor:
         """Create a parameter with uniform [-scale, scale] entries."""
@@ -53,11 +61,35 @@ class ParameterStore:
         for t in self._params.values():
             t.grad = None
 
-    def grad_norm(self) -> float:
+    def _scratch(self, size: int) -> np.ndarray:
+        """The first ``size`` elements of one float64 buffer the store reuses.
+
+        It grows to the largest request (the largest gradient, once
+        gradients are clipped) and is never shrunk, so the optimizer's sweeps
+        allocate nothing after their first call.
+        """
+        if self._buffer.size < size:
+            self._buffer = np.empty(size)
+        return self._buffer[:size]
+
+    def grad_norm(self, scale: float = 1.0) -> float:
+        """Global L2 norm of the gradients divided by ``scale``.
+
+        Each gradient is squared into one reused buffer, which sums to the
+        same bits as ``(g * g).sum()``. A sum of squares that overflows gives
+        ``inf`` without a warning.
+        """
         total = 0.0
-        for t in self._params.values():
-            if t.grad is not None:
-                total += float((t.grad * t.grad).sum())
+        with np.errstate(over="ignore"):
+            for name, t in self._params.items():
+                g = t.grad
+                if g is None:
+                    continue
+                _check_grad_shape(name, t)
+                buf = self._scratch(g.size).reshape(g.shape)
+                if scale != 1.0:
+                    g = np.divide(g, scale, out=buf)
+                total += float(np.multiply(g, g, out=buf).sum())
         return float(np.sqrt(total))
 
     def copy_values(self) -> dict[str, np.ndarray]:
@@ -88,22 +120,35 @@ class ParameterStore:
             self._adam_v[k] = np.ascontiguousarray(state["v"][k], dtype=np.float64)
 
 
+def _check_grad_shape(name: str, t: Tensor) -> None:
+    if t.grad.shape != t.data.shape:
+        raise ShapeError(f"gradient of parameter {name!r} has shape {t.grad.shape}, expected {t.data.shape}")
+
+
 def clip_gradients(store: ParameterStore, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the applied factor. A no-op (factor 1.0) when already within the
     bound; the small tolerance keeps a second clip from rescaling a result
-    that sits on the boundary only because of rounding.
+    that sits on the boundary only because of rounding. A non-finite gradient
+    raises NumericError naming its parameter before anything is scaled.
     """
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
-    for name, t in store.items():
-        if t.grad is not None and not np.all(np.isfinite(t.grad)):
-            raise NumericError(f"non-finite gradient in parameter {name!r}")
     norm = store.grad_norm()
-    if norm <= max_norm * (1.0 + 1e-12):
+    scale = 1.0
+    if not math.isfinite(norm):
+        grads = [(name, t.grad) for name, t in store.items() if t.grad is not None]
+        for name, g in grads:
+            if not np.all(np.isfinite(g)):
+                raise NumericError(f"non-finite gradient in parameter {name!r}")
+        # every gradient is finite, so only the sum of squares overflowed:
+        # measure the gradients relative to the largest magnitude instead
+        scale = max(max(float(g.max()), -float(g.min())) for _, g in grads)
+        norm = store.grad_norm(scale)
+    if norm * scale <= max_norm * (1.0 + 1e-12):
         return 1.0
-    factor = max_norm / norm
+    factor = max_norm / norm / scale
     for t in store._params.values():
         if t.grad is not None:
             t.grad *= factor
@@ -119,25 +164,42 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update over every parameter with a gradient.
 
-    Parameters whose gradient is None (or all zeros) are left untouched, so a
-    zero-gradient model is a fixed point of the optimizer.
+    A parameter whose gradient is None has no gradient this batch and is
+    skipped: its value and moments stay as they are. A zero gradient is
+    an update like any other, so the moments decay and a nonzero first
+    moment still moves the value.
+
+    The update runs in place, ``ADAM_BLOCK`` elements at a time, through two
+    block-sized halves of the store's scratch buffer. Every step is
+    elementwise and in the order of ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + ((1-b2)*g)*g``, ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``,
+    so the result has the same bits as that whole-array expression.
     """
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
     if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
         raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
+    for name, p in store.items():
+        if p.grad is not None:
+            _check_grad_shape(name, p)
     store.step_count += 1
     t = store.step_count
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
+    scratch = store._scratch(2 * ADAM_BLOCK)
     for name, p in store.items():
-        g = p.grad
-        if g is None:
+        if p.grad is None:
             continue
-        m = store._adam_m[name]
-        v = store._adam_v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        flat_p, flat_g = p.data.reshape(-1), p.grad.reshape(-1)
+        flat_m, flat_v = store._adam_m[name].reshape(-1), store._adam_v[name].reshape(-1)
+        for lo in range(0, flat_p.size, ADAM_BLOCK):
+            block = slice(lo, lo + ADAM_BLOCK)
+            pb, g, m, v = flat_p[block], flat_g[block], flat_m[block], flat_v[block]
+            a, b = scratch[: pb.size], scratch[ADAM_BLOCK : ADAM_BLOCK + pb.size]
+            m *= beta1
+            m += np.multiply(1.0 - beta1, g, out=a)
+            v *= beta2
+            v += np.multiply(np.multiply(1.0 - beta2, g, out=a), g, out=a)
+            np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), eps, out=b)
+            pb -= np.divide(a, b, out=a)

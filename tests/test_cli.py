@@ -10,10 +10,10 @@ from dataclasses import fields
 
 import pytest
 
-from seq2label import synthetic
+from seq2label import inference, synthetic
 from seq2label.cli import RunConfig, main, read_config_file
 from seq2label.corpus import write_jsonl
-from seq2label.errors import ConfigError
+from seq2label.errors import ConfigError, NumericError
 from seq2label.model import ModelConfig
 from seq2label.trainer import TrainConfig
 
@@ -220,6 +220,47 @@ class TestPredict:
         for row in trace["weights"]:
             assert len(row) == 3
             assert math.isclose(sum(row), 1.0, rel_tol=0, abs_tol=1e-9)
+
+    def test_failure_midway_leaves_no_output(self, workdir, tmp_path, capsys, monkeypatch):
+        inp = str(tmp_path / "in.jsonl")
+        write_jsonl(inp, [{"text": "doc00 f00 f01"}, {"text": "doc07 f28"}, {"text": "doc01 f04"}])
+        decode, calls = inference.decode, []
+
+        def fail_on_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericError("decoder state went non-finite")
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "decode", fail_on_second)
+        code, _, err = run(
+            ["predict", "--checkpoint", workdir["ckpt"], "--input", inp,
+             "--out", str(tmp_path / "pred.jsonl"), "--attn", str(tmp_path / "attn.jsonl")],
+            capsys,
+        )
+        assert code == 3
+        assert err.startswith("error:") and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["in.jsonl"]  # no partial file, no temporary left
+
+    def test_output_replaces_an_existing_file_whole(self, workdir, tmp_path, capsys):
+        inp, out_path = str(tmp_path / "in.jsonl"), tmp_path / "pred.jsonl"
+        write_jsonl(inp, [{"text": "doc00 f00 f01"}])
+        out_path.write_text("old\n" * 5)
+        code, _, _ = run(
+            ["predict", "--checkpoint", workdir["ckpt"], "--input", inp, "--out", str(out_path)], capsys
+        )
+        assert code == 0
+        assert [json.loads(l)["index"] for l in out_path.read_text().splitlines()] == [0]
+        assert sorted(os.listdir(tmp_path)) == ["in.jsonl", "pred.jsonl"]
+
+    def test_output_through_a_symlink_keeps_the_link(self, workdir, tmp_path, capsys):
+        inp, real, link = str(tmp_path / "in.jsonl"), tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+        write_jsonl(inp, [{"text": "doc00 f00 f01"}])
+        link.symlink_to(real)
+        code, _, _ = run(["predict", "--checkpoint", workdir["ckpt"], "--input", inp, "--out", str(link)], capsys)
+        assert code == 0
+        assert link.is_symlink()
+        assert json.loads(real.read_text())["index"] == 0
 
 
 class TestConfigFile:

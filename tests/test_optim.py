@@ -1,12 +1,15 @@
 """Parameter store, Adam, and gradient clipping."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from seq2label.errors import ConfigError, NumericError
+from seq2label.errors import ConfigError, NumericError, ShapeError
 from seq2label.numerics import ParameterStore, RngStream, adam_step, clip_gradients
+from seq2label.numerics.params import ADAM_BLOCK
 
 
 def make_store(values: dict[str, np.ndarray]) -> ParameterStore:
@@ -56,6 +59,31 @@ class TestStore:
         assert store["w"].grad is None
 
 
+def whole_array_adam(p, g, m, v, t, lr, beta1, beta2, eps):
+    """The update as one whole-array expression: the oracle for the blocked sweep."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def whole_array_clip(grads, max_norm):
+    """Clipping through ``(g * g).sum()``: the oracle for the reused square buffer."""
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+    if norm <= max_norm * (1.0 + 1e-12):
+        return 1.0
+    factor = max_norm / norm
+    for g in grads:
+        g *= factor
+    return factor
+
+
+EQUIVALENCE_SHAPES = [(), (1,), (ADAM_BLOCK - 1,), (ADAM_BLOCK,), (ADAM_BLOCK + 1,), (50002, 64)]
+
+
 class TestAdam:
     def test_first_step_magnitude(self):
         # with g = 0.5 and defaults, the bias-corrected first step is
@@ -96,6 +124,65 @@ class TestAdam:
         state = store.adam_state()
         assert state["step"] == 2 and state["m"]["w"].shape == (2,)
 
+    def test_bitwise_equal_to_whole_array_update(self):
+        rng = np.random.default_rng(0)
+        shapes = {f"p{i}": shape for i, shape in enumerate(EQUIVALENCE_SHAPES)}
+        shapes["skipped"] = (3, 5)  # no gradient in any step
+        store = make_store({name: rng.normal(size=shape) for name, shape in shapes.items()})
+        oracle = {name: [store[name].data.copy(), np.zeros(shape), np.zeros(shape)]
+                  for name, shape in shapes.items()}
+        hyper = dict(lr=0.003, beta1=0.85, beta2=0.995, eps=1e-7)
+        for step in range(1, 6):
+            for name, shape in shapes.items():
+                if name == "skipped":
+                    continue
+                g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                if g.ndim == 2:
+                    g[rng.random(shape[0]) < 0.9] = 0.0  # mostly untouched rows, like a lookup table
+                store[name].grad = g
+                p, m, v = oracle[name]
+                whole_array_adam(p, g, m, v, step, **hyper)
+            adam_step(store, **hyper)
+            state = store.adam_state()
+            for name, (p, m, v) in oracle.items():
+                assert np.array_equal(store[name].data, p), (name, step)
+                assert np.array_equal(state["m"][name], m), (name, step)
+                assert np.array_equal(state["v"][name], v), (name, step)
+        assert np.array_equal(state["m"]["skipped"], np.zeros((3, 5)))
+
+    def test_zero_gradient_still_moves_with_momentum(self):
+        store = make_store({"w": np.arange(3.0)})
+        store["w"].grad = np.ones(3)
+        adam_step(store)
+        before = store["w"].data.copy()
+        store["w"].grad = np.zeros(3)
+        adam_step(store)
+        assert np.all(store["w"].data < before)
+
+    def test_gradient_shape_mismatch_names_the_parameter(self):
+        store = make_store({"ok": np.ones(2), "w": np.ones((3, 4))})
+        store["ok"].grad = np.ones(2)
+        store["w"].grad = np.ones(4)  # would broadcast over every row
+        with pytest.raises(ShapeError, match="'w'"):
+            adam_step(store)
+        assert store.step_count == 0
+        assert np.array_equal(store["ok"].data, np.ones(2))
+        store["w"].grad = np.ones((4, 3))  # same size, different shape
+        with pytest.raises(ShapeError, match="'w'"):
+            adam_step(store)
+
+    def test_no_parameter_sized_temporaries(self):
+        store = make_store({"table": np.zeros((50002, 64))})
+        store["table"].grad = np.random.default_rng(0).normal(size=(50002, 64))
+        adam_step(store)  # warm-up
+        tracemalloc.start()
+        try:
+            adam_step(store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # one 50002x64 float64 array is 25.6 MB
+
     def test_rejects_bad_hyperparameters(self):
         store = make_store({"w": np.ones(1)})
         with pytest.raises(ConfigError):
@@ -134,6 +221,55 @@ class TestClip:
         after_first = store["w"].grad.copy()
         assert clip_gradients(store, 10.0) == 1.0
         assert np.array_equal(store["w"].grad, after_first)
+
+    @pytest.mark.parametrize("max_norm", [10.0, 1e-3, 1e6])
+    def test_bitwise_equal_to_whole_array_clip(self, max_norm):
+        rng = np.random.default_rng(1)
+        values = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(EQUIVALENCE_SHAPES)}
+        values["none"] = np.ones(4)
+        store = make_store(values)
+        for name, arr in values.items():
+            if name != "none":
+                store[name].grad = rng.normal(size=arr.shape)
+        expected = [store[n].grad.copy() for n in values if n != "none"]
+        factor = clip_gradients(store, max_norm)
+        assert factor == whole_array_clip(expected, max_norm)
+        for name, g in zip([n for n in values if n != "none"], expected):
+            assert np.array_equal(store[name].grad, g), name
+        assert store["none"].grad is None
+
+    def test_overflowing_square_sum_still_clips(self):
+        store = make_store({"w": np.zeros(2)})
+        store["w"].grad = np.array([1e200, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor = clip_gradients(store, 10.0)
+        assert factor > 0.0
+        assert math.isclose(math.hypot(*store["w"].grad), 10.0, rel_tol=1e-12)
+        assert store["w"].grad[0] == store["w"].grad[1]
+
+    def test_gradient_shape_mismatch_names_the_parameter(self):
+        store = make_store({"ok": np.ones(2), "w": np.ones((3, 4))})
+        store["ok"].grad = np.full(2, 100.0)
+        store["w"].grad = np.ones(4)
+        with pytest.raises(ShapeError, match="'w'"):
+            clip_gradients(store, 1.0)
+        assert np.array_equal(store["ok"].grad, np.full(2, 100.0))
+
+    def test_no_parameter_sized_temporaries(self):
+        store = make_store({"table": np.zeros((50002, 64))})
+        grad = np.random.default_rng(0).normal(size=(50002, 64))
+        store["table"].grad = grad
+        clip_gradients(store, 1.0)  # warm-up
+        store["table"].grad = grad * 1e3
+        tracemalloc.start()
+        try:
+            factor = clip_gradients(store, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor < 1.0
+        assert peak < 1_000_000
 
     def test_rejects_nonfinite_and_bad_norm(self):
         store = make_store({"w": np.zeros(2)})
