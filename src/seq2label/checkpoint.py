@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .corpus import LabelVocabulary, Vocabulary
+from .corpus import LabelVocabulary, Vocabulary, atomic_output
 from .errors import DataError
 from .model import ModelConfig, Seq2LabelModel
 from .numerics import RngStream
@@ -58,7 +58,7 @@ def save_checkpoint(
         "tensors": manifest,
         "adam": {"saved": bool(save_adam), "step": model.params.step_count},
     }
-    with open(path, "wb") as f:
+    with atomic_output(path, binary=True) as f:
         f.write(MAGIC)
         f.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
         f.write(b"\n")

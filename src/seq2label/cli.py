@@ -12,12 +12,12 @@ import argparse
 import json
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 from . import corpus, inference, metrics, synthetic, trainer
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .corpus import LabelVocabulary, Vocabulary
+from .corpus import LabelVocabulary, Vocabulary, atomic_output
 from .errors import ConfigError, DataError, NumericError
 from .model import GE_MODES, ModelConfig, Seq2LabelModel
 from .numerics import RngStream
@@ -155,15 +155,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _require(cfg: RunConfig, names: list[str], command: str) -> None:
     missing = [n for n in names if not getattr(cfg, n)]  # an empty path is no path
     if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
+        flags = ", ".join(_flag(n) for n in missing)
         raise ConfigError(f"{command} requires {flags}")
 
 
 def _check_outputs(cfg: RunConfig, names: list[str]) -> None:
-    """Refuse, before any work, output paths that cannot be created."""
+    """Refuse, before any work, output paths that cannot be created, and two
+    outputs that name one file (through a symlink too). Streams such as
+    /dev/stdout may be shared."""
+    seen: dict[str, str] = {}
     for name in names:
         path = getattr(cfg, name)
         if not path:
@@ -173,6 +180,12 @@ def _check_outputs(cfg: RunConfig, names: list[str]) -> None:
             raise DataError(f"cannot write {path}: no directory {folder}")
         if os.path.isdir(path):
             raise DataError(f"cannot write {path}: it is a directory")
+        if os.path.exists(path) and not os.path.isfile(path):
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise DataError(f"{_flag(seen[real])} and {_flag(name)} name the same file {path}")
+        seen[real] = name
 
 
 def _load_records(path: str, require_labels: bool = True) -> list[dict]:
@@ -186,38 +199,13 @@ def _load_examples(path: str, vocab: Vocabulary, label_vocab: LabelVocabulary, m
     return corpus.encode_examples(_load_records(path), vocab, label_vocab, max_len)
 
 
-@contextmanager
-def _atomic_output(path: str):
-    """A text file that appears at ``path`` only when the block completes.
-
-    It is written to a hidden file beside the target and moved over it at
-    the end, so a failure partway leaves no partial output (and an existing
-    file as it was). A path that is not a regular file, such as /dev/stdout,
-    is written directly.
-    """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as f:
-            yield f
-        return
-    folder, name = os.path.split(os.path.realpath(path))  # replace a symlink's target, not the link
-    tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
-    f = open(tmp, "x", encoding="utf-8")
-    try:
-        with f:
-            yield f
-        os.replace(tmp, os.path.join(folder, name))
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=False)
     if out:
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        with atomic_output(out) as f:
+            json.dump(payload, f, indent=2)
+            f.write("\n")
     else:
-        print(text)
+        print(json.dumps(payload, indent=2))
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -324,8 +312,8 @@ def cmd_predict(cfg: RunConfig) -> int:
     max_steps = _decode_steps(cfg, ckpt)
 
     with ExitStack() as outputs:
-        out_f = outputs.enter_context(_atomic_output(cfg.out)) if cfg.out else sys.stdout
-        attn_f = outputs.enter_context(_atomic_output(cfg.attn)) if cfg.attn else None
+        out_f = outputs.enter_context(atomic_output(cfg.out)) if cfg.out else sys.stdout
+        attn_f = outputs.enter_context(atomic_output(cfg.attn)) if cfg.attn else None
         for i, rec in enumerate(records):
             try:
                 token_ids = corpus.encode_text(rec["text"], ckpt.vocab, cfg.max_len)
@@ -469,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                 kind = {"action": "store_true", "default": None}
             else:
                 kind = {"type": _field_parser(key), "choices": GE_MODES if key == "ge_mode" else None}
-            p.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key), **kind)
+            p.add_argument(_flag(key), help=_HELP.get(key), **kind)
         if "beam" in keys:
             p.add_argument("--greedy", action="store_true", default=None, help="shorthand for --beam 1")
         p.set_defaults(func=func)

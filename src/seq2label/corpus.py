@@ -10,8 +10,10 @@ start-of-sequence id exists only on the input side.
 from __future__ import annotations
 
 import json
+import os
 import string
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,33 @@ UNK_ID = 1
 LABEL_PAD = -1
 
 _STRIP = string.punctuation
+
+
+@contextmanager
+def atomic_output(path: str, binary: bool = False):
+    """A file (UTF-8 text, or bytes with ``binary``) that appears at ``path``
+    only when the block completes.
+
+    It is written to a hidden file beside the target and moved over it at
+    the end, so a failure partway leaves no partial output (and an existing
+    file as it was). A path that exists and is not a regular file, such as
+    /dev/stdout, is written directly.
+    """
+    mode, encoding = ("b", None) if binary else ("", "utf-8")
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w" + mode, encoding=encoding) as f:
+            yield f
+        return
+    folder, name = os.path.split(os.path.realpath(path))  # replace a symlink's target, not the link
+    tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+    f = open(tmp, "x" + mode, encoding=encoding)
+    try:
+        with f:
+            yield f
+        os.replace(tmp, os.path.join(folder, name))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def tokenize(text: str) -> list[str]:
@@ -69,7 +98,7 @@ class Vocabulary:
         return cls(*_parse_tsv(text.splitlines()))
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_output(path) as f:
             f.write(self.to_text())
 
     @classmethod
@@ -136,7 +165,7 @@ class LabelVocabulary:
         return cls(*_parse_tsv(text.splitlines()))
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_output(path) as f:
             f.write(self.to_text())
 
     @classmethod
@@ -228,7 +257,7 @@ def load_jsonl(path: str, require_labels: bool = True) -> list[dict]:
 
 
 def write_jsonl(path: str, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_output(path) as f:
         for rec in records:
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 

@@ -148,29 +148,48 @@ class Seq2LabelModel:
     # -- encoder ------------------------------------------------------------
 
     def embed(self, token_ids: np.ndarray) -> Tensor:
-        """Token embedding rows for one document, shape (m, embed_size)."""
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ConfigError(f"token_ids must be a non-empty vector, got shape {ids.shape}")
-        return self.params["embed.tokens"][ids]
+        """Token embedding rows, shape (len(token_ids), embed_size)."""
+        return self.params["embed.tokens"][np.asarray(token_ids, dtype=np.int64)]
 
     def encode(self, token_ids: np.ndarray, train: bool = False, rng: RngStream | None = None) -> EncoderOutput:
-        """Run the bidirectional encoder; states concatenate fwd and bwd halves."""
+        """Run the bidirectional encoder over one document."""
+        return self.encode_batch([token_ids], train, rng)[0]
+
+    def encode_batch(
+        self, docs: list[np.ndarray], train: bool = False, rng: RngStream | None = None
+    ) -> list[EncoderOutput]:
+        """Run the bidirectional encoder over documents laid end to end.
+
+        One embedding lookup, one dropout draw per layer, one ``lstm_sequence``
+        per direction and layer and one attention projection cover every
+        document; states concatenate the fwd and bwd halves.
+        """
+        ids = [np.asarray(d, dtype=np.int64) for d in docs]
+        if not ids:
+            raise ConfigError("encode_batch needs at least one document")
+        for d in ids:
+            if d.ndim != 1 or d.size == 0:
+                raise ConfigError(f"token_ids must be a non-empty vector, got shape {d.shape}")
+        lengths = [d.size for d in ids]
         cfg = self.config
         mode = "train" if train else "eval"
-        x = dropout(self.embed(token_ids), cfg.dropout, mode, rng)
+        x = dropout(self.embed(np.concatenate(ids)), cfg.dropout, mode, rng)
         for layer in range(cfg.encoder_layers):
             if layer:
                 x = dropout(x, cfg.dropout, mode, rng)
-            fwd = self._run_direction(f"enc.l{layer}.fwd", x)
-            bwd = self._run_direction(f"enc.l{layer}.bwd", x, reverse=True)
+            fwd = self._run_direction(f"enc.l{layer}.fwd", x, lengths)
+            bwd = self._run_direction(f"enc.l{layer}.bwd", x, lengths, reverse=True)
             x = concat([fwd, bwd])
         proj = x @ self.params["attn.w_enc"]
-        return EncoderOutput(states=x, proj=proj, length=x.data.shape[0])
+        ends = np.cumsum(lengths).tolist()
+        return [
+            EncoderOutput(states=x[end - m:end], proj=proj[end - m:end], length=m)
+            for m, end in zip(lengths, ends)
+        ]
 
-    def _run_direction(self, prefix: str, x: Tensor, reverse: bool = False) -> Tensor:
+    def _run_direction(self, prefix: str, x: Tensor, lengths: list[int], reverse: bool = False) -> Tensor:
         p = self.params
-        return lstm_sequence(x, p[f"{prefix}.wx"], p[f"{prefix}.wh"], p[f"{prefix}.b"], reverse)
+        return lstm_sequence(x, p[f"{prefix}.wx"], p[f"{prefix}.wh"], p[f"{prefix}.b"], reverse, lengths)
 
     # -- decoder ------------------------------------------------------------
 

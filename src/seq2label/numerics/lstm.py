@@ -1,11 +1,13 @@
-"""LSTM recurrence: a fused whole-sequence op, a single cell step, and the
-parameter initializer.
+"""LSTM recurrence: a fused op over whole sequences (one document, or a
+batch of documents packed time-major), a single cell step, and the parameter
+initializer.
 
 Weight layout: wx is (input_dim, 4H), wh is (H, 4H), b is (4H,), with the four
 gate blocks ordered input, forget, cell, output. Both ops share one step
 kernel (the logistic function over all 4H pre-activations, tanh on the cell
-block, then the state update) and one step backward, derived by hand from
-the saved gate values.
+block, then the state update), run on a (4H,) vector or on a (B, 4H) block
+of documents, and one step backward, derived by hand from the saved gate
+values.
 """
 
 from __future__ import annotations
@@ -28,14 +30,18 @@ def _check_weights(input_dim: int, hidden: int, wx: Tensor, wh: Tensor, b: Tenso
         raise ShapeError(f"b shape {b.data.shape} does not match hidden {hidden}")
 
 
-def _step(pre: np.ndarray, c: np.ndarray, hd: int):
-    """One cell update from the (4H,) pre-activations and the previous cell
-    state; returns (gate activations [i, f, g, o], c', tanh(c'), h')."""
-    a = logistic(pre)
-    a[2 * hd:3 * hd] = np.tanh(pre[2 * hd:3 * hd])
-    c_new = (a[hd:2 * hd] * c) + (a[:hd] * a[2 * hd:3 * hd])
-    tanh_c = np.tanh(c_new)
-    return a, c_new, tanh_c, a[3 * hd:] * tanh_c
+def _step(pre: np.ndarray, c: np.ndarray, a: np.ndarray, c_new: np.ndarray, tanh_c: np.ndarray, h: np.ndarray) -> None:
+    """One cell update of (..., 4H) pre-activations from the previous cell
+    state, written into ``a`` (gate activations [i, f, g, o]), ``c_new``,
+    ``tanh_c`` (tanh of c') and ``h`` (h')."""
+    hd = c.shape[-1]
+    logistic(pre, out=a)
+    g = a[..., 2 * hd:3 * hd]
+    np.tanh(pre[..., 2 * hd:3 * hd], out=g)
+    np.multiply(a[..., hd:2 * hd], c, out=c_new)
+    c_new += a[..., :hd] * g
+    np.tanh(c_new, out=tanh_c)
+    np.multiply(a[..., 3 * hd:], tanh_c, out=h)
 
 
 def _gate_slopes(act: np.ndarray, hd: int) -> np.ndarray:
@@ -46,70 +52,126 @@ def _gate_slopes(act: np.ndarray, hd: int) -> np.ndarray:
     return slopes
 
 
-def _step_back(dh, dc, a, slopes, c_prev, tanh_c, dtanh_c, d_act):
-    """Backward of one ``_step`` from the gradients reaching h' and c'; returns
-    (d pre-activations, d c_prev). ``slopes`` is ``_gate_slopes`` of ``a`` and
-    ``d_act`` a (4H,) scratch buffer."""
-    hd = dh.shape[0]
-    dc = dc + (dh * a[3 * hd:]) * dtanh_c
-    d_act[:hd] = dc * a[2 * hd:3 * hd]
-    d_act[hd:2 * hd] = dc * c_prev
-    d_act[2 * hd:3 * hd] = dc * a[:hd]
-    d_act[3 * hd:] = dh * tanh_c
-    return d_act * slopes, dc * a[hd:2 * hd]
+def _step_back(dh, dc, a, slopes, c_prev, tanh_c, dtanh_c, d_act, d_pre) -> None:
+    """Backward of one ``_step`` from the gradients reaching h' and c' (``dc``
+    is updated in place to the gradient reaching c_prev); writes the gradient
+    of the pre-activations into ``d_pre``, which may be ``slopes`` itself.
+    ``slopes`` is ``_gate_slopes`` of ``a`` and ``d_act`` a scratch buffer of
+    ``a``'s shape."""
+    hd = dh.shape[-1]
+    dc += (dh * a[..., 3 * hd:]) * dtanh_c
+    np.multiply(dc, a[..., 2 * hd:3 * hd], out=d_act[..., :hd])
+    np.multiply(dc, c_prev, out=d_act[..., hd:2 * hd])
+    np.multiply(dc, a[..., :hd], out=d_act[..., 2 * hd:3 * hd])
+    np.multiply(dh, tanh_c, out=d_act[..., 3 * hd:])
+    np.multiply(d_act, slopes, out=d_pre)
+    dc *= a[..., hd:2 * hd]
 
 
-def _previous(states: np.ndarray, reverse: bool) -> np.ndarray:
-    """Row t: the state step t started from (zeros for the first row read)."""
-    prev = np.zeros_like(states)
-    if reverse:
-        prev[:-1] = states[1:]
-    else:
-        prev[1:] = states[:-1]
-    return prev
+def _pack(lengths, n: int, reverse: bool) -> tuple[np.ndarray | slice, list[int]]:
+    """Time-major, longest-first order of documents laid end to end.
+
+    Returns ``(rows, sizes)``: ``sizes[t]`` documents are still running at
+    step t, and step t fills the next ``sizes[t]`` packed positions, longest
+    document first, so each step's documents are a prefix of the previous
+    step's. ``rows[p]`` is the input row read at packed position p: a
+    document's own first token at step 0, or its own last one with
+    ``reverse``. For one document ``rows`` is a slice, so packing is a view.
+    """
+    lens = np.asarray(lengths)
+    if lens.ndim != 1 or lens.size == 0 or lens.dtype.kind not in "iu" or lens.min() < 1 or lens.sum() != n:
+        raise ShapeError(f"lengths must be a non-empty vector of positive integers summing to {n}, got {lengths!r}")
+    if lens.size == 1:
+        return slice(None, None, -1 if reverse else 1), [1] * n
+    order = np.argsort(-lens, kind="stable")
+    starts = (np.cumsum(lens) - lens)[order]
+    lens = lens[order]
+    steps = np.arange(lens[0])
+    running = (lens[:, None] > steps).T
+    offsets = (lens[:, None] - 1 - steps) if reverse else steps
+    return (starts[:, None] + offsets).T[running], running.sum(axis=1).tolist()
 
 
-def lstm_sequence(xs: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """Run an LSTM from a zero state over the rows of ``xs`` as one graph node.
+def _unpack(packed: np.ndarray, rows) -> np.ndarray:
+    """The rows of a packed array back in input order."""
+    if isinstance(rows, slice):
+        return packed[rows]  # a slice from _pack is its own inverse
+    out = np.empty_like(packed)
+    out[rows] = packed
+    return out
 
-    ``xs`` is (T, D); the result is (T, H), row t holding the hidden state
-    after reading row t. With ``reverse`` the rows are read last to first, so
-    row t then summarizes rows t..T-1. The input projection ``xs @ wx`` is one
-    matmul for all steps; backward runs backpropagation through time inside
-    the node and ends in one matmul per weight and one for the inputs.
+
+def _rows(first: int, size: int):
+    """``size`` packed rows from ``first``: an int for one row, so that a lone
+    document steps on vectors, else a slice."""
+    return first if size == 1 else slice(first, first + size)
+
+
+def _step_rows(sizes: list[int]) -> list[tuple]:
+    """For each step, (its packed rows, the same documents' rows one step
+    earlier or None at step 0, their places among the step's documents)."""
+    steps, start, prev = [], 0, None
+    for size in sizes:
+        steps.append((_rows(start, size), None if prev is None else _rows(prev, size), _rows(0, size)))
+        prev, start = start, start + size
+    return steps
+
+
+def lstm_sequence(
+    xs: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False, lengths=None
+) -> Tensor:
+    """Run an LSTM from a zero state over each document in ``xs`` as one graph node.
+
+    ``xs`` is (N, D): documents of ``lengths`` rows laid end to end (one
+    document of N rows by default). The result is (N, H), row t holding the
+    hidden state after reading row t of its document. With ``reverse`` each
+    document is read last row to first, so row t then summarizes the rest of
+    its document from t on. Inside, the rows are packed time-major, longest
+    document first (``_pack``): step t reads one contiguous block of the
+    documents still running, with no padding. The input projection
+    ``xs @ wx`` is one matmul for all rows; backward runs backpropagation
+    through time inside the node and ends in one matmul per weight and one for
+    the inputs.
     """
     x = xs.data
     if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeError(f"lstm_sequence expects a non-empty (T, D) matrix, got shape {x.shape}")
+        raise ShapeError(f"lstm_sequence expects a non-empty (N, D) matrix, got shape {x.shape}")
     n, hd = x.shape[0], (wh.data.shape[0] if wh.data.ndim == 2 else 0)
     _check_weights(x.shape[1], hd, wx, wh, b)
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    proj = x @ wx.data
-    acts = np.empty((n, 4 * hd))
-    cells = np.empty((n, hd))
-    out = np.empty((n, hd))
-    h, c = np.zeros(hd), np.zeros(hd)
+    rows, sizes = _pack([n] if lengths is None else lengths, n, reverse)
+    proj = (x @ wx.data)[rows]
+    # packed per-step results, kept for backward
+    acts, cells, hs = np.empty((n, 4 * hd)), np.empty((n, hd)), np.empty((n, hd))
+    tanh_step = np.empty((sizes[0], hd))
     w_h, bias = wh.data, b.data
-    for t in order:
-        a, c, _, h = _step(proj[t] + (h @ w_h) + bias, c, hd)
-        acts[t], cells[t], out[t] = a, c, h
+    steps = _step_rows(sizes)
+    for now, prev, mine in steps:
+        h, c = (hs[prev], cells[prev]) if prev is not None else (np.zeros(hs[now].shape),) * 2
+        _step(proj[now] + (h @ w_h) + bias, c, acts[now], cells[now], tanh_step[mine], hs[now])
+    out = _unpack(hs, rows)
 
     def bw(g, xs=xs, wx=wx, wh=wh, b=b):
+        gp = g[rows]
         tanh_c = np.tanh(cells)
         dtanh_c = 1.0 - tanh_c * tanh_c
-        slopes = _gate_slopes(acts, hd)
-        c_prev = _previous(cells, reverse)
-        d_pre = np.empty((n, 4 * hd))
-        d_act = np.empty(4 * hd)
-        dh, dc = np.zeros(hd), np.zeros(hd)
-        for t in reversed(order):
-            dh = g[t] + dh
-            d_pre[t], dc = _step_back(dh, dc, acts[t], slopes[t], c_prev[t], tanh_c[t], dtanh_c[t], d_act)
-            dh = w_h @ d_pre[t]
-        _accum(xs, d_pre @ wx.data.T)
-        _accum(wx, x.T @ d_pre)
-        _accum(wh, _previous(out, reverse).T @ d_pre)
+        d_pre = _gate_slopes(acts, hd)  # each step overwrites its slopes with its d_pre
+        d_act = np.empty((sizes[0], 4 * hd))
+        dh, dc = np.zeros((sizes[0], hd)), np.zeros((sizes[0], hd))
+        for now, prev, mine in reversed(steps):
+            dh_t = dh[mine]
+            dh_t += gp[now]
+            c_prev = cells[prev] if prev is not None else np.zeros(dh_t.shape)
+            _step_back(dh_t, dc[mine], acts[now], d_pre[now], c_prev,
+                       tanh_c[now], dtanh_c[now], d_act[mine], d_pre[now])
+            dh[mine] = d_pre[now] @ w_h.T
+        # h_prev of every packed position after step 0: the same document's
+        # previous step, sizes[t - 1] positions back
+        after = sizes[0]
+        h_prev = hs[np.arange(after, n) - np.repeat(np.array(sizes[:-1], dtype=np.int64), sizes[1:])]
+        _accum(wh, h_prev.T @ d_pre[after:])
+        _accum(wx, x[rows].T @ d_pre)
         _accum(b, d_pre.sum(axis=0))
+        _accum(xs, _unpack(d_pre @ wx.data.T, rows))
 
     return _node(out, (xs, wx, wh, b), bw)
 
@@ -129,20 +191,20 @@ def lstm_cell_step(
     h, c = state
     hd = h.data.shape[0]
     _check_weights(x.data.shape[0] if x.data.ndim == 1 else -1, hd, wx, wh, b)
-    act, c_val, tanh_c, h_val = _step((x.data @ wx.data) + (h.data @ wh.data) + b.data, c.data, hd)
+    act, tanh_c, cell = np.empty(4 * hd), np.empty(hd), np.empty(2 * hd)
+    _step((x.data @ wx.data) + (h.data @ wh.data) + b.data, c.data, act, cell[hd:], tanh_c, cell[:hd])
 
     def bw(g, x=x, h=h, c=c, wx=wx, wh=wh, b=b):
-        d_pre, dc_prev = _step_back(
-            g[:hd], g[hd:], act, _gate_slopes(act, hd), c.data, tanh_c, 1.0 - tanh_c * tanh_c, np.empty(4 * hd)
-        )
+        d_pre, dc = np.empty(4 * hd), g[hd:].copy()
+        _step_back(g[:hd], dc, act, _gate_slopes(act, hd), c.data, tanh_c, 1.0 - tanh_c * tanh_c, np.empty(4 * hd), d_pre)
         _accum(x, wx.data @ d_pre)
         _accum(h, wh.data @ d_pre)
         _accum(wx, np.outer(x.data, d_pre))
         _accum(wh, np.outer(h.data, d_pre))
         _accum(b, d_pre)
-        _accum(c, dc_prev)
+        _accum(c, dc)
 
-    cell = _node(np.concatenate([h_val, c_val]), (x, h, c, wx, wh, b), bw)
+    cell = _node(cell, (x, h, c, wx, wh, b), bw)
     return cell[:hd], cell[hd:]
 
 

@@ -241,13 +241,15 @@ def tanh(t: Tensor) -> Tensor:
     return _node(out, (t,), bw)
 
 
-def logistic(x: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic function of an array.
+def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Overflow-free logistic function of an array, written into ``out`` if given.
 
-    exp only ever sees -|x|: 1 / (1 + e) for x >= 0 and e / (1 + e) below.
+    exp only ever sees values <= 0: with e = exp(-|x|) the result is
+    1 / (1 + e) for x >= 0 and e / (1 + e) below, and exp(min(x, 0)) is
+    exactly that numerator (1, or e) without a select.
     """
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.exp(np.minimum(x, 0.0)), 1.0 + e, out=out)
 
 
 def sigmoid(t: Tensor) -> Tensor:

@@ -10,7 +10,7 @@ import numpy as np
 from . import corpus, inference, metrics
 from .corpus import Batch, Example, LabelVocabulary
 from .errors import ConfigError, NumericError
-from .model import Seq2LabelModel
+from .model import EncoderOutput, Seq2LabelModel
 from .numerics import RngStream, Tensor, adam_step, clip_gradients, cross_entropy
 
 
@@ -64,9 +64,15 @@ def sequence_loss(
     each step's chosen class is the ground-truth target, while the blended
     input embedding still sees the model's own previous distribution.
     """
+    return _decoder_loss(model, model.encode(token_ids, train, rng), framed, train, rng)
+
+
+def _decoder_loss(
+    model: Seq2LabelModel, enc: EncoderOutput, framed: list[int], train: bool, rng: RngStream | None
+) -> Tensor:
+    """The teacher-forced decoder half of ``sequence_loss`` over one encoded document."""
     if len(framed) < 2:
         raise ConfigError(f"framed sequence needs at least one target, got {framed}")
-    enc = model.encode(token_ids, train, rng)
     state = model.init_state()
     loss: Tensor | None = None
     for target in framed[1:]:
@@ -84,6 +90,27 @@ def _batch_rows(batch: Batch):
         yield tokens, framed
 
 
+def _backward_batch(model: Seq2LabelModel, batch: Batch, bi: int, rng: RngStream) -> float:
+    """Forward and backward of one batch; returns its summed loss.
+
+    The batch's documents are encoded together by ``encode_batch``, then each
+    one's decoder runs under teacher forcing. The graph, with its saved
+    activations and intermediate gradients, is released on return, before
+    the optimizer sweeps the parameters.
+    """
+    rows = list(_batch_rows(batch))
+    encs = model.encode_batch([tokens for tokens, _ in rows], train=True, rng=rng)
+    total: Tensor | None = None
+    for enc, (_, framed) in zip(encs, rows):
+        loss = _decoder_loss(model, enc, framed, True, rng)
+        total = loss if total is None else total + loss
+    mean = total * (1.0 / len(batch))
+    if not np.isfinite(mean.data):
+        raise NumericError(f"non-finite loss in batch {bi}")
+    mean.backward()
+    return total.item()
+
+
 def train_epoch(
     model: Seq2LabelModel, batches: list[Batch], config: TrainConfig, rng: RngStream
 ) -> float:
@@ -92,17 +119,9 @@ def train_epoch(
     count = 0
     for bi, batch in enumerate(batches):
         model.params.zero_grads()
-        batch_sum: Tensor | None = None
-        for tokens, framed in _batch_rows(batch):
-            loss = sequence_loss(model, tokens, framed, train=True, rng=rng)
-            batch_sum = loss if batch_sum is None else batch_sum + loss
-        batch_loss = batch_sum * (1.0 / len(batch))
-        if not np.isfinite(batch_loss.data):
-            raise NumericError(f"non-finite loss in batch {bi}")
-        batch_loss.backward()
+        total += _backward_batch(model, batch, bi, rng)
         clip_gradients(model.params, config.clip_norm)
         adam_step(model.params, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
-        total += batch_sum.item()
         count += len(batch)
     return total / count
 

@@ -10,9 +10,10 @@ from dataclasses import fields
 
 import pytest
 
-from seq2label import inference, synthetic
+from seq2label import checkpoint, cli, inference, synthetic
+from seq2label.checkpoint import load_checkpoint, save_checkpoint
 from seq2label.cli import RunConfig, main, read_config_file
-from seq2label.corpus import write_jsonl
+from seq2label.corpus import LabelVocabulary, Vocabulary, write_jsonl
 from seq2label.errors import ConfigError, NumericError
 from seq2label.model import ModelConfig
 from seq2label.trainer import TrainConfig
@@ -550,6 +551,33 @@ class TestOutputPaths:
         assert "epoch 1" not in out
         assert os.listdir(tmp_path) == ["t.jsonl"]
 
+    @pytest.mark.parametrize("argv, flags", [
+        (["predict", "--checkpoint", "{ckpt}", "--input", "{in}", "--out", "{tmp}/x.jsonl",
+          "--attn", "{tmp}/x.jsonl"], "--out and --attn"),
+        (["build-vocab", "--train", "{train}", "--vocab", "{tmp}/x.tsv", "--label-vocab", "{tmp}/./x.tsv"],
+         "--vocab and --label-vocab"),
+        (["train", "--train", "{train}", "--checkpoint", "{tmp}/x", "--report", "{tmp}/x"],
+         "--checkpoint and --report"),
+        (["predict", "--checkpoint", "{ckpt}", "--input", "{in}", "--out", "{tmp}/link.jsonl",
+          "--attn", "{tmp}/real.jsonl"], "--out and --attn"),
+    ], ids=["predict", "build-vocab", "train", "predict-through-symlink"])
+    def test_outputs_naming_one_file_exit_two(self, inputs, tmp_path, capsys, argv, flags):
+        (tmp_path / "link.jsonl").symlink_to(tmp_path / "real.jsonl")
+        argv = [a.format(**inputs, tmp=str(tmp_path)) for a in argv]
+        code, out, err = run(argv + (FAST if argv[0] == "train" else []), capsys)
+        assert code == 2
+        assert f"error: {flags} name the same file" in err and "Traceback" not in err
+        assert "epoch 1" not in out
+        assert sorted(os.listdir(tmp_path)) == ["in.jsonl", "link.jsonl"]
+
+    def test_outputs_may_share_a_stream(self, inputs, capsys):
+        code, _, _ = run(
+            ["predict", "--checkpoint", inputs["ckpt"], "--input", inputs["in"],
+             "--out", os.devnull, "--attn", os.devnull],
+            capsys,
+        )
+        assert code == 0
+
     def test_failed_write_exits_two(self, workdir, capsys):
         # a path the checks accept but whose write fails: a full device
         if not os.path.exists("/dev/full"):
@@ -561,6 +589,63 @@ class TestOutputPaths:
         )
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+
+
+class TestAtomicWrites:
+    """Every file the program writes appears whole or not at all: a write that
+    fails partway leaves no new file, and an existing file as it was."""
+
+    @staticmethod
+    def fail_checkpoint(path, workdir, monkeypatch):
+        ck = load_checkpoint(workdir["ckpt"])
+        tensor_bytes, calls = checkpoint._tensor_bytes, []
+
+        def fail_on_third(arr):
+            calls.append(1)
+            if len(calls) == 3:  # after the header and two tensors
+                raise OSError("disk full")
+            return tensor_bytes(arr)
+
+        monkeypatch.setattr(checkpoint, "_tensor_bytes", fail_on_third)
+        save_checkpoint(path, ck.model, ck.vocab, ck.label_vocab)
+
+    @staticmethod
+    def fail_json(path, workdir, monkeypatch):
+        cli._write_json({"epochs": 3, "broken": object()}, path)  # fails after the first key
+
+    @staticmethod
+    def fail_jsonl(path, workdir, monkeypatch):
+        write_jsonl(path, [{"text": "a"}, {"text": object()}])
+
+    @staticmethod
+    def fail_vocab(path, workdir, monkeypatch):
+        ck = load_checkpoint(workdir["ckpt"])
+        monkeypatch.setattr(Vocabulary, "to_text", lambda self: 1 / 0)
+        ck.vocab.save(path)
+
+    @staticmethod
+    def fail_label_vocab(path, workdir, monkeypatch):
+        ck = load_checkpoint(workdir["ckpt"])
+        monkeypatch.setattr(LabelVocabulary, "to_text", lambda self: 1 / 0)
+        ck.label_vocab.save(path)
+
+    WRITERS = ["fail_checkpoint", "fail_json", "fail_jsonl", "fail_vocab", "fail_label_vocab"]
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    @pytest.mark.parametrize("existing", [None, b"as it was\n"], ids=["new", "existing"])
+    def test_failure_partway_leaves_no_trace(self, workdir, tmp_path, monkeypatch, writer, existing):
+        path = tmp_path / "out"
+        if existing is not None:
+            path.write_bytes(existing)
+        with pytest.raises((OSError, TypeError, ZeroDivisionError)):
+            getattr(self, writer)(str(path), workdir, monkeypatch)
+        assert os.listdir(tmp_path) == ([] if existing is None else ["out"])  # no temporary left
+        if existing is not None:
+            assert path.read_bytes() == existing
+
+    def test_checkpoint_into_a_stream_is_written_directly(self, workdir):
+        ck = load_checkpoint(workdir["ckpt"])
+        save_checkpoint(os.devnull, ck.model, ck.vocab, ck.label_vocab)
 
 
 class TestAblate:

@@ -262,6 +262,73 @@ class TestSequence:
             lstm_sequence(Tensor(np.zeros((0, 3))), good_wx, good_wh, good_b)
 
 
+class TestPacked:
+    """Several documents laid end to end through one ``lstm_sequence`` call."""
+
+    LENGTHS = [3, 1, 5, 2, 5]  # unsorted, uneven, a one-row document, a tie
+
+    @staticmethod
+    def arrays(lengths, seed, in_dim=3, hidden=2):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(sum(lengths), in_dim)),) + random_weights(rng, in_dim, hidden)
+
+    @pytest.mark.parametrize("lengths", [LENGTHS, [4]])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_match_finite_differences(self, lengths, reverse):
+        arrays = self.arrays(lengths, 20 + len(lengths))
+        weights = np.random.default_rng(1).normal(size=(sum(lengths), 2))
+        check_grads(
+            lambda *t: (lstm_sequence(*t, reverse=reverse, lengths=lengths) * Tensor(weights)).sum(), *arrays
+        )
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_equals_one_call_per_document(self, reverse):
+        lengths = self.LENGTHS
+        arrays = self.arrays(lengths, 30, in_dim=4, hidden=3)
+        weights = np.random.default_rng(2).normal(size=(sum(lengths), 3))
+        packed = [Tensor(a, requires_grad=True) for a in arrays]
+        out = lstm_sequence(*packed, reverse=reverse, lengths=np.array(lengths))
+        (out * Tensor(weights)).sum().backward()
+        single = [Tensor(a, requires_grad=True) for a in arrays]
+        xs, wx, wh, b = single
+        ends = np.cumsum(lengths)
+        loss = None
+        for m, end in zip(lengths, ends):
+            doc = lstm_sequence(xs[end - m:end], wx, wh, b, reverse=reverse)
+            assert np.max(np.abs(out.data[end - m:end] - doc.data)) <= 1e-12
+            term = (doc * Tensor(weights[end - m:end])).sum()
+            loss = term if loss is None else loss + term
+        loss.backward()
+        for name, p, s in zip(("xs", "wx", "wh", "b"), packed, single):
+            assert np.max(np.abs(p.grad - s.grad)) <= 1e-12, name
+
+    def test_one_document_is_the_default(self):
+        arrays = [Tensor(a) for a in self.arrays([6], 40)]
+        for reverse in (False, True):
+            assert np.array_equal(
+                lstm_sequence(*arrays, reverse=reverse).data,
+                lstm_sequence(*arrays, reverse=reverse, lengths=[6]).data,
+            )
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [[2, 3]],        # not a vector
+            [],              # no documents
+            [2.0, 3.0],      # not integers
+            [True, True, True, True, True],
+            [5, 0],          # an empty document
+            [6, -1],
+            [2, 2],          # rows left over
+            [3, 3],          # rows missing
+        ],
+    )
+    def test_bad_lengths(self, lengths):
+        xs, wx, wh, b = (Tensor(a) for a in self.arrays([5], 50))
+        with pytest.raises(ShapeError, match="lengths"):
+            lstm_sequence(xs, wx, wh, b, lengths=lengths)
+
+
 class TestCell:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)

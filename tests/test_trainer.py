@@ -161,6 +161,118 @@ class TestPadding:
         assert solo == from_batch
 
 
+class Recorder:
+    """An RngStream that keeps every uniform draw it hands out."""
+
+    def __init__(self, seed):
+        self.stream, self.draws = RngStream(seed), []
+
+    def uniform(self, low, high, shape=()):
+        out = self.stream.uniform(low, high, shape)
+        self.draws.append(out)
+        return out
+
+
+class Replay:
+    """Hands out given draws in order, checking each requested shape."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def uniform(self, low, high, shape=()):
+        out = self.draws.pop(0)
+        assert out.shape == tuple(shape)
+        return out
+
+
+class TestBatchEncoding:
+    """``train_epoch`` encodes a batch's documents together; its loss and
+    gradients must equal those of one ``sequence_loss`` per row."""
+
+    LENGTHS = [7, 1, 12, 3, 12, 5]
+
+    @classmethod
+    def batch(cls, m):
+        rs = np.random.default_rng(4)
+        framed = []
+        for i, n in enumerate(cls.LENGTHS):
+            labels = [int(v) for v in rs.permutation(m.num_labels)[: 1 + i % 3]]
+            framed.append((rs.integers(2, m.vocab_size, size=n), [m.bos_class] + labels + [m.eos_class]))
+        return framed, corpus.make_batches(framed, len(framed))[0]
+
+    @staticmethod
+    def model(layers, ge_mode, dropout):
+        cfg = ModelConfig(
+            embed_size=5, encoder_hidden=4, decoder_hidden=6, encoder_layers=layers,
+            decoder_layers=layers, ge_mode=ge_mode, dropout=dropout,
+        )
+        return Seq2LabelModel(cfg, 40, 5, RngStream(2))
+
+    @staticmethod
+    def train_batch(m, batch, rng, monkeypatch):
+        """(loss, gradients) of one train_epoch step, captured before Adam."""
+        grads = {}
+        monkeypatch.setattr(
+            trainer, "adam_step", lambda store, *a: grads.update({n: t.grad.copy() for n, t in store.items()})
+        )
+        return train_epoch(m, [batch], TrainConfig(clip_norm=1e12), rng), grads
+
+    @staticmethod
+    def per_row(m, framed, rng):
+        m.params.zero_grads()
+        total = None
+        for tokens, seq in framed:
+            loss = sequence_loss(m, tokens, seq, train=True, rng=rng)
+            total = loss if total is None else total + loss
+        (total * (1.0 / len(framed))).backward()
+        return total.item() / len(framed), {n: t.grad.copy() for n, t in m.params.items()}
+
+    @staticmethod
+    def assert_close(got, want):
+        (loss, grads), (ref_loss, ref_grads) = got, want
+        assert abs(loss - ref_loss) <= 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.max(np.abs(grads[name] - ref_grads[name])) <= 1e-12, name
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("ge_mode", ["off", "gate", "lambda"])
+    def test_matches_one_sequence_loss_per_row(self, layers, ge_mode, monkeypatch):
+        m = self.model(layers, ge_mode, 0.0)
+        framed, batch = self.batch(m)
+        got = self.train_batch(m, batch, RngStream(0), monkeypatch)
+        self.assert_close(got, self.per_row(m, framed, RngStream(0)))
+
+    @pytest.mark.parametrize("ge_mode", ["off", "gate"])
+    def test_one_layer_dropout_draws_are_unchanged(self, ge_mode, monkeypatch):
+        # one (N, k) draw hands out the same numbers as one draw per document
+        m = self.model(1, ge_mode, 0.3)
+        framed, batch = self.batch(m)
+        batch_rng, row_rng = RngStream(6), RngStream(6)
+        got = self.train_batch(m, batch, batch_rng, monkeypatch)
+        self.assert_close(got, self.per_row(m, framed, row_rng))
+        assert batch_rng.position == row_rng.position == sum(self.LENGTHS) * 5
+
+    def test_two_layer_dropout_draw_order(self, monkeypatch):
+        # the batch draws the embedding mask for all N rows, then the mask
+        # between encoder layers for all N rows, then each document's
+        # decoder masks in batch order; replaying those draws one document
+        # at a time through sequence_loss gives the same loss and gradients
+        m = self.model(2, "gate", 0.3)
+        framed, batch = self.batch(m)
+        rec = Recorder(6)
+        got = self.train_batch(m, batch, rec, monkeypatch)
+        n = sum(self.LENGTHS)
+        steps = [len(seq) - 1 for _, seq in framed]
+        assert [d.shape for d in rec.draws] == [(n, 5), (n, 8)] + [(6,)] * sum(steps)
+        embed, between, decoder = rec.draws[0], rec.draws[1], rec.draws[2:]
+        per_doc, end = [], 0
+        for length, k in zip(self.LENGTHS, steps):
+            per_doc += [embed[end:end + length], between[end:end + length]] + decoder[:k]
+            decoder, end = decoder[k:], end + length
+        self.assert_close(got, self.per_row(m, framed, Replay(per_doc)))
+
+
 class TestFit:
     def test_bit_reproducible_across_runs(self):
         records = synthetic.memorization_corpus(0)[:6]
