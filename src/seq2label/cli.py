@@ -166,11 +166,15 @@ def _require(cfg: RunConfig, names: list[str], command: str) -> None:
         raise ConfigError(f"{command} requires {flags}")
 
 
-def _check_outputs(cfg: RunConfig, names: list[str]) -> None:
-    """Refuse, before any work, output paths that cannot be created, and two
-    outputs that name one file (through a symlink too). Streams such as
-    /dev/stdout may be shared."""
+def _check_outputs(cfg: RunConfig, names: list[str], inputs: list[str]) -> None:
+    """Refuse, before any work, output paths that cannot be created, and an
+    output that names an input or another output (through a symlink too).
+    Streams such as /dev/stdin and /dev/stdout are exempt."""
     seen: dict[str, str] = {}
+    for name in inputs:
+        path = getattr(cfg, name)
+        if path and not _is_stream(path):
+            seen[os.path.realpath(path)] = name
     for name in names:
         path = getattr(cfg, name)
         if not path:
@@ -180,12 +184,17 @@ def _check_outputs(cfg: RunConfig, names: list[str]) -> None:
             raise DataError(f"cannot write {path}: no directory {folder}")
         if os.path.isdir(path):
             raise DataError(f"cannot write {path}: it is a directory")
-        if os.path.exists(path) and not os.path.isfile(path):
+        if _is_stream(path):
             continue
         real = os.path.realpath(path)
         if real in seen:
             raise DataError(f"{_flag(seen[real])} and {_flag(name)} name the same file {path}")
         seen[real] = name
+
+
+def _is_stream(path: str) -> bool:
+    """An existing path that is not a regular file, such as /dev/stdout."""
+    return os.path.exists(path) and not os.path.isfile(path)
 
 
 def _load_records(path: str, require_labels: bool = True) -> list[dict]:
@@ -213,7 +222,7 @@ def _write_json(payload: dict, out: str | None) -> None:
 
 def cmd_build_vocab(cfg: RunConfig) -> int:
     _require(cfg, ["train", "vocab", "label_vocab"], "build-vocab")
-    _check_outputs(cfg, ["vocab", "label_vocab", "out"])
+    _check_outputs(cfg, ["vocab", "label_vocab", "out"], ["train"])
     records = _load_records(cfg.train)
     vocab, label_vocab = corpus.build_vocab(records, cfg.vocab_size)
     vocab.save(cfg.vocab)
@@ -248,7 +257,7 @@ def _load_training_data(cfg: RunConfig):
 
 def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, ["train", "checkpoint"], "train")
-    _check_outputs(cfg, ["checkpoint", "report", "vocab", "label_vocab"])
+    _check_outputs(cfg, ["checkpoint", "report", "vocab", "label_vocab"], ["train", "valid"])
     model_config, train_config = cfg.model_config(), cfg.train_config()
     vocab, label_vocab, train_examples, valid_examples = _load_training_data(cfg)
 
@@ -292,7 +301,7 @@ def _decode_steps(cfg: RunConfig, ckpt: Checkpoint) -> int:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     _require(cfg, ["checkpoint", "test"], "evaluate")
-    _check_outputs(cfg, ["out"])
+    _check_outputs(cfg, ["out"], ["checkpoint", "test"])
     ckpt = load_checkpoint(cfg.checkpoint)
     examples = _load_examples(cfg.test, ckpt.vocab, ckpt.label_vocab, cfg.max_len)
     pairs = trainer.label_set_pairs(ckpt.model, examples, cfg.beam, _decode_steps(cfg, ckpt))
@@ -305,7 +314,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, ["checkpoint", "input"], "predict")
-    _check_outputs(cfg, ["out", "attn"])
+    _check_outputs(cfg, ["out", "attn"], ["checkpoint", "input"])
     ckpt = load_checkpoint(cfg.checkpoint)
     model, label_of = ckpt.model, ckpt.label_vocab.label_of
     records = _load_records(cfg.input, require_labels=False)
@@ -357,7 +366,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     _require(cfg, ["train", "test"], "ablate")
     lambdas = _parse_lambda_list(cfg.lambda_list)
     cfg.model_config(), cfg.train_config()  # a bad option fails here, before any data is read
-    _check_outputs(cfg, ["out", "vocab", "label_vocab"])
+    _check_outputs(cfg, ["out", "vocab", "label_vocab"], ["train", "valid", "test"])
     vocab, label_vocab, train_examples, valid_examples = _load_training_data(cfg)
     test_examples = _load_examples(cfg.test, vocab, label_vocab, cfg.max_len)
 
@@ -382,7 +391,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
 def cmd_synth(cfg: RunConfig) -> int:
     """Write the generated corpora to JSONL files (developer utility)."""
     _require(cfg, ["out"], "synth")
-    _check_outputs(cfg, ["out"])
+    _check_outputs(cfg, ["out"], [])
     train, held = synthetic.correlated_pair_corpus(cfg.seed)
     corpus.write_jsonl(cfg.out, synthetic.memorization_corpus(cfg.seed))
     base, ext = os.path.splitext(cfg.out)

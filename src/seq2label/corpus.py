@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import string
 from collections import Counter
 from contextlib import contextmanager
@@ -23,7 +24,6 @@ from .numerics import RngStream
 
 PAD_ID = 0
 UNK_ID = 1
-LABEL_PAD = -1
 
 _STRIP = string.punctuation
 
@@ -71,6 +71,7 @@ class Vocabulary:
     def __init__(self, tokens: list[str], freqs: list[int]):
         if len(tokens) != len(freqs):
             raise DataError("token and frequency lists differ in length")
+        _check_one_line(tokens, "token")
         self._tokens = list(tokens)
         self._freqs = list(freqs)
         self._ids = {tok: i + 2 for i, tok in enumerate(tokens)}
@@ -107,7 +108,14 @@ class Vocabulary:
 
 
 # a tab splits a vocabulary line; str.splitlines also ends a line at each of the rest
-_LABEL_BREAKERS = "\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(r"[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _check_one_line(names: list[str], kind: str) -> None:
+    """Refuse a name that would not survive ``to_text`` then ``from_text``."""
+    if _LINE_BREAK.search("".join(names)):  # one scan over up to 50,000 tokens
+        bad = next(name for name in names if _LINE_BREAK.search(name))
+        raise DataError(f"{kind} {bad!r} contains a tab or a line break")
 
 
 class LabelVocabulary:
@@ -123,9 +131,7 @@ class LabelVocabulary:
             raise DataError("label and frequency lists differ in length")
         if not labels:
             raise DataError("label vocabulary is empty")
-        for lab in labels:
-            if any(ch in lab for ch in _LABEL_BREAKERS):
-                raise DataError(f"label {lab!r} contains a tab or a line break")
+        _check_one_line(labels, "label")
         self._labels = list(labels)
         self._freqs = list(freqs)
         self._ids = {lab: i for i, lab in enumerate(labels)}
@@ -214,13 +220,14 @@ class Example:
 
 @dataclass
 class Batch:
-    token_ids: np.ndarray      # (B, T) int64, padded with PAD_ID
-    lengths: np.ndarray        # (B,) true source lengths
-    label_seqs: np.ndarray     # (B, S) framed target ids, padded with LABEL_PAD
-    label_lengths: np.ndarray  # (B,) framed sequence lengths
+    """Documents laid end to end, the layout ``lstm_sequence`` reads."""
+
+    token_ids: np.ndarray      # (N,) int64, every document's ids in batch order
+    lengths: np.ndarray        # (B,) int64 document lengths, summing to N
+    targets: list[list[int]]   # framed target ids, one list per document
 
     def __len__(self) -> int:
-        return self.token_ids.shape[0]
+        return len(self.lengths)
 
 
 def load_jsonl(path: str, require_labels: bool = True) -> list[dict]:
@@ -339,12 +346,8 @@ def frame_labels(label_ids: list[int], label_vocab: LabelVocabulary) -> list[int
 def make_batches(
     framed: list[tuple[np.ndarray, list[int]]], batch_size: int, rng: RngStream | None = None
 ) -> list[Batch]:
-    """Group (token_ids, framed_labels) pairs into padded batches.
-
-    Shuffles example order when given an rng. Token rows pad with PAD_ID and
-    label rows with LABEL_PAD; consumers must honor the recorded lengths, so
-    the pad values themselves are never read.
-    """
+    """Group (token_ids, framed_labels) pairs into batches of ``batch_size``
+    documents, shuffling example order when given an rng."""
     if batch_size < 1:
         raise DataError(f"batch size must be positive, got {batch_size}")
     order = list(range(len(framed)))
@@ -353,17 +356,9 @@ def make_batches(
     batches = []
     for start in range(0, len(order), batch_size):
         chunk = [framed[i] for i in order[start:start + batch_size]]
-        max_t = max(len(tok) for tok, _ in chunk)
-        max_s = max(len(seq) for _, seq in chunk)
-        tok_mat = np.full((len(chunk), max_t), PAD_ID, dtype=np.int64)
-        lab_mat = np.full((len(chunk), max_s), LABEL_PAD, dtype=np.int64)
-        lengths = np.zeros(len(chunk), dtype=np.int64)
-        lab_lengths = np.zeros(len(chunk), dtype=np.int64)
-        for j, (tok, seq) in enumerate(chunk):
-            tok_mat[j, :len(tok)] = tok
-            lab_mat[j, :len(seq)] = seq
-            lengths[j] = len(tok)
-            lab_lengths[j] = len(seq)
-        batches.append(Batch(tok_mat, lengths, lab_mat, lab_lengths))
+        batches.append(Batch(
+            np.concatenate([tok for tok, _ in chunk], dtype=np.int64),
+            np.array([len(tok) for tok, _ in chunk], dtype=np.int64),
+            [list(seq) for _, seq in chunk],
+        ))
     return batches
-

@@ -63,7 +63,6 @@ class ModelConfig:
 class EncoderOutput:
     states: Tensor        # (m, 2 * encoder_hidden)
     proj: Tensor          # (m, attn_dim), states already projected for scoring
-    length: int
 
 
 @dataclass
@@ -153,27 +152,28 @@ class Seq2LabelModel:
 
     def encode(self, token_ids: np.ndarray, train: bool = False, rng: RngStream | None = None) -> EncoderOutput:
         """Run the bidirectional encoder over one document."""
-        return self.encode_batch([token_ids], train, rng)[0]
+        return self.encode_batch(token_ids, [np.size(token_ids)], train, rng)[0]
 
     def encode_batch(
-        self, docs: list[np.ndarray], train: bool = False, rng: RngStream | None = None
+        self, token_ids: np.ndarray, lengths, train: bool = False, rng: RngStream | None = None
     ) -> list[EncoderOutput]:
-        """Run the bidirectional encoder over documents laid end to end.
+        """Run the bidirectional encoder over documents of ``lengths`` ids
+        laid end to end in ``token_ids``.
 
         One embedding lookup, one dropout draw per layer, one ``lstm_sequence``
         per direction and layer and one attention projection cover every
         document; states concatenate the fwd and bwd halves.
         """
-        ids = [np.asarray(d, dtype=np.int64) for d in docs]
-        if not ids:
+        ids = np.asarray(token_ids, dtype=np.int64)
+        if len(lengths) == 0:
             raise ConfigError("encode_batch needs at least one document")
-        for d in ids:
-            if d.ndim != 1 or d.size == 0:
-                raise ConfigError(f"token_ids must be a non-empty vector, got shape {d.shape}")
-        lengths = [d.size for d in ids]
+        if ids.ndim != 1 or min(lengths) < 1:
+            raise ConfigError(
+                f"token_ids must be a vector of non-empty documents, got shape {ids.shape}, lengths {lengths}"
+            )
         cfg = self.config
         mode = "train" if train else "eval"
-        x = dropout(self.embed(np.concatenate(ids)), cfg.dropout, mode, rng)
+        x = dropout(self.embed(ids), cfg.dropout, mode, rng)
         for layer in range(cfg.encoder_layers):
             if layer:
                 x = dropout(x, cfg.dropout, mode, rng)
@@ -181,13 +181,10 @@ class Seq2LabelModel:
             bwd = self._run_direction(f"enc.l{layer}.bwd", x, lengths, reverse=True)
             x = concat([fwd, bwd])
         proj = x @ self.params["attn.w_enc"]
-        ends = np.cumsum(lengths).tolist()
-        return [
-            EncoderOutput(states=x[end - m:end], proj=proj[end - m:end], length=m)
-            for m, end in zip(lengths, ends)
-        ]
+        bounds = np.cumsum([0, *lengths]).tolist()
+        return [EncoderOutput(states=x[a:b], proj=proj[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-    def _run_direction(self, prefix: str, x: Tensor, lengths: list[int], reverse: bool = False) -> Tensor:
+    def _run_direction(self, prefix: str, x: Tensor, lengths, reverse: bool = False) -> Tensor:
         p = self.params
         return lstm_sequence(x, p[f"{prefix}.wx"], p[f"{prefix}.wh"], p[f"{prefix}.b"], reverse, lengths)
 

@@ -64,9 +64,9 @@ class ParameterStore:
     def _scratch(self, size: int) -> np.ndarray:
         """The first ``size`` elements of one float64 buffer the store reuses.
 
-        It grows to the largest request (the largest gradient, once
-        gradients are clipped) and is never shrunk, so the optimizer's sweeps
-        allocate nothing after their first call.
+        It grows to the largest request, ``2 * ADAM_BLOCK`` once Adam has
+        run, and is never shrunk, so the optimizer's sweeps allocate nothing
+        after their first call.
         """
         if self._buffer.size < size:
             self._buffer = np.empty(size)
@@ -75,22 +75,35 @@ class ParameterStore:
     def grad_norm(self, scale: float = 1.0) -> float:
         """Global L2 norm of the gradients divided by ``scale``.
 
-        Each gradient is squared into one reused buffer, which sums to the
-        same bits as ``(g * g).sum()``. A sum of squares that overflows gives
-        ``inf`` without a warning.
+        Each gradient's squares sum to the same bits as ``(g * g).sum()``
+        (see ``_sum_squares``). A sum of squares that overflows gives ``inf``
+        without a warning.
         """
         total = 0.0
         with np.errstate(over="ignore"):
             for name, t in self._params.items():
-                g = t.grad
-                if g is None:
+                if t.grad is None:
                     continue
                 _check_grad_shape(name, t)
-                buf = self._scratch(g.size).reshape(g.shape)
-                if scale != 1.0:
-                    g = np.divide(g, scale, out=buf)
-                total += float(np.multiply(g, g, out=buf).sum())
+                total += self._sum_squares(t.grad.reshape(-1), scale)
         return float(np.sqrt(total))
+
+    def _sum_squares(self, g: np.ndarray, scale: float) -> float:
+        """``((g / scale) ** 2).sum()`` of a flat array, squared at most
+        ``ADAM_BLOCK`` elements at a time into the reused buffer.
+
+        numpy sums pairwise, splitting n elements at
+        ``n//2 - (n//2) % 8``; splitting at the same points makes each
+        piece's sum one subtree of the whole array's, so the bits agree.
+        """
+        n = g.size
+        if n > ADAM_BLOCK:
+            half = n // 2 - (n // 2) % 8
+            return self._sum_squares(g[:half], scale) + self._sum_squares(g[half:], scale)
+        buf = self._scratch(n)
+        if scale != 1.0:
+            g = np.divide(g, scale, out=buf)
+        return float(np.multiply(g, g, out=buf).sum())
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}

@@ -83,13 +83,6 @@ def _decoder_loss(
     return loss
 
 
-def _batch_rows(batch: Batch):
-    for j in range(len(batch)):
-        tokens = batch.token_ids[j, : batch.lengths[j]]
-        framed = [int(v) for v in batch.label_seqs[j, : batch.label_lengths[j]]]
-        yield tokens, framed
-
-
 def _backward_batch(model: Seq2LabelModel, batch: Batch, bi: int, rng: RngStream) -> float:
     """Forward and backward of one batch; returns its summed loss.
 
@@ -98,10 +91,9 @@ def _backward_batch(model: Seq2LabelModel, batch: Batch, bi: int, rng: RngStream
     activations and intermediate gradients, is released on return, before
     the optimizer sweeps the parameters.
     """
-    rows = list(_batch_rows(batch))
-    encs = model.encode_batch([tokens for tokens, _ in rows], train=True, rng=rng)
+    encs = model.encode_batch(batch.token_ids, batch.lengths, train=True, rng=rng)
     total: Tensor | None = None
-    for enc, (_, framed) in zip(encs, rows):
+    for enc, framed in zip(encs, batch.targets):
         loss = _decoder_loss(model, enc, framed, True, rng)
         total = loss if total is None else total + loss
     mean = total * (1.0 / len(batch))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -551,6 +552,23 @@ class TestOutputPaths:
         assert "epoch 1" not in out
         assert os.listdir(tmp_path) == ["t.jsonl"]
 
+    def test_token_with_line_break_exits_two_before_writing(self, tmp_path, capsys):
+        # such a token would be written into a checkpoint that cannot be read back
+        train = tmp_path / "t.jsonl"
+        write_jsonl(str(train), [{"text": "red fish", "labels": ["a"]}, {"text": "blue", "labels": ["c"]}])
+        (tmp_path / "v.tsv").write_text("red\t2\nx\u2028y\t1\n", encoding="utf-8")
+        (tmp_path / "l.tsv").write_text("a\t1\nc\t1\n", encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        code, out, err = run(
+            ["train", "--train", str(train), "--checkpoint", str(tmp_path / "m.ckpt"),
+             "--vocab", str(tmp_path / "v.tsv"), "--label-vocab", str(tmp_path / "l.tsv")] + FAST,
+            capsys,
+        )
+        assert code == 2
+        assert "error:" in err and "line break" in err and "Traceback" not in err
+        assert "epoch 1" not in out
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize("argv, flags", [
         (["predict", "--checkpoint", "{ckpt}", "--input", "{in}", "--out", "{tmp}/x.jsonl",
           "--attn", "{tmp}/x.jsonl"], "--out and --attn"),
@@ -569,6 +587,32 @@ class TestOutputPaths:
         assert f"error: {flags} name the same file" in err and "Traceback" not in err
         assert "epoch 1" not in out
         assert sorted(os.listdir(tmp_path)) == ["in.jsonl", "link.jsonl"]
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["train", "--train", "{tmp}/train.jsonl", "--checkpoint", "{tmp}/train.jsonl"],
+         "--train and --checkpoint"),
+        (["predict", "--checkpoint", "{tmp}/model.ckpt", "--input", "{tmp}/in.jsonl", "--out", "{tmp}/in.jsonl"],
+         "--input and --out"),
+        (["predict", "--checkpoint", "{tmp}/model.ckpt", "--input", "{tmp}/in.jsonl", "--out", "{tmp}/model.ckpt"],
+         "--checkpoint and --out"),
+        (["evaluate", "--checkpoint", "{tmp}/model.ckpt", "--test", "{tmp}/train.jsonl",
+          "--out", "{tmp}/train.jsonl"], "--test and --out"),
+        (["build-vocab", "--train", "{tmp}/train.jsonl", "--vocab", "{tmp}/train.jsonl",
+          "--label-vocab", "{tmp}/l.tsv"], "--train and --vocab"),
+        (["predict", "--checkpoint", "{tmp}/model.ckpt", "--input", "{tmp}/in.jsonl",
+          "--attn", "{tmp}/link.jsonl"], "--input and --attn"),
+    ], ids=["train", "predict-input", "predict-checkpoint", "evaluate", "build-vocab", "predict-through-symlink"])
+    def test_output_naming_an_input_exits_two(self, inputs, tmp_path, capsys, argv, flags):
+        shutil.copy(inputs["train"], tmp_path / "train.jsonl")
+        shutil.copy(inputs["ckpt"], tmp_path / "model.ckpt")
+        (tmp_path / "link.jsonl").symlink_to(tmp_path / "in.jsonl")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        argv = [a.format(tmp=str(tmp_path)) for a in argv]
+        code, out, err = run(argv + (FAST if argv[0] == "train" else []), capsys)
+        assert code == 2
+        assert f"error: {flags} name the same file" in err and "Traceback" not in err
+        assert "epoch 1" not in out
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_outputs_may_share_a_stream(self, inputs, capsys):
         code, _, _ = run(

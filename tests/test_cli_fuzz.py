@@ -7,8 +7,9 @@ it as a traceback), that a nonzero exit prints an ``error:`` line and no
 traceback, and that it leaves every file in the directory as it was.
 
 Vocabulary files that ``train`` and ``ablate`` build are exempt from the last
-check: they are complete the moment they are written, before training starts,
-and a later failure does not make them wrong.
+check, except where an output flag names an input file: they are complete the
+moment they are written, before training starts, and a later failure does not
+make them wrong.
 """
 
 import contextlib
@@ -90,7 +91,7 @@ def _flag_value(argv, flag):
     return values[-1] if values else None
 
 
-def check_run(seed_dir, argv, files=None):
+def check_run(seed_dir, argv, files=None, exempt_vocab=True):
     """Run ``argv`` in a copy of ``seed_dir`` (plus ``files``); return the exit code."""
     with tempfile.TemporaryDirectory() as work:
         shutil.copytree(seed_dir, work, dirs_exist_ok=True)
@@ -111,7 +112,7 @@ def check_run(seed_dir, argv, files=None):
     assert "Traceback" not in err.getvalue()
     if code:
         assert "error:" in err.getvalue(), (argv, err.getvalue())
-        if argv[0] in ("train", "ablate"):
+        if exempt_vocab and argv[0] in ("train", "ablate"):
             for flag in ("--vocab", "--label-vocab"):
                 before.pop(_flag_value(argv, flag), None)
                 after.pop(_flag_value(argv, flag), None)
@@ -166,6 +167,44 @@ class TestFlags:
     @given(argv=flag_values())
     def test_random_flag_values(self, seed_dir, argv):
         check_run(seed_dir, argv)
+
+
+# the path flags each subcommand reads and writes
+INPUTS = {
+    "build-vocab": ["train"],
+    "train": ["train", "valid"],
+    "evaluate": ["checkpoint", "test"],
+    "predict": ["checkpoint", "input"],
+    "ablate": ["train", "valid", "test"],
+}
+OUTPUTS = {
+    "build-vocab": ["vocab", "label_vocab", "out"],
+    "train": ["checkpoint", "report", "vocab", "label_vocab"],
+    "evaluate": ["out"],
+    "predict": ["out", "attn"],
+    "ablate": ["out", "vocab", "label_vocab"],
+}
+
+
+@st.composite
+def output_naming_an_input(draw):
+    """A subcommand with one of its output flags set to one of its input files."""
+    command = draw(st.sampled_from(sorted(INPUTS)))
+    argv = [command] + BASE[command]
+    if "valid" in INPUTS[command]:
+        argv += ["--valid", "valid.jsonl"]
+    source = draw(st.sampled_from(INPUTS[command]))
+    path = _flag_value(argv, "--" + source.replace("_", "-"))
+    output = draw(st.sampled_from(OUTPUTS[command]))
+    return argv + ["--" + output.replace("_", "-"), draw(st.sampled_from([path, "./" + path]))]
+
+
+class TestOutputNamesInput:
+    @SETTINGS
+    @given(argv=output_naming_an_input())
+    def test_exits_two_and_writes_nothing(self, seed_dir, argv):
+        valid = (seed_dir / "train.jsonl").read_bytes()
+        assert check_run(seed_dir, argv, {"valid.jsonl": valid}, exempt_vocab=False) == 2
 
 
 RECORD = st.fixed_dictionaries({

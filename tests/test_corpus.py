@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from seq2label import corpus
 from seq2label.corpus import (
-    LABEL_PAD,
     PAD_ID,
     UNK_ID,
     LabelVocabulary,
@@ -54,6 +53,13 @@ class TestVocabulary:
     def test_rejects_duplicates(self):
         with pytest.raises(DataError):
             Vocabulary(["a", "a"], [1, 1])
+
+    def test_rejects_every_line_break(self):
+        # a token str.splitlines breaks would not survive a checkpoint's from_text
+        breaks = [chr(i) for i in range(0x3000) if len(f"a{chr(i)}b".splitlines()) > 1]
+        for ch in ["\t"] + breaks:
+            with pytest.raises(DataError, match="line break"):
+                Vocabulary(["ok", f"x{ch}y"], [2, 1])
 
 
 class TestLabelVocabulary:
@@ -210,14 +216,41 @@ class TestBatches:
         ]
 
     def test_padding_and_lengths(self):
+        # documents are laid end to end: no padding, lengths mark the boundaries
         batches = make_batches(self.make_framed([3, 5]), batch_size=4)
         assert len(batches) == 1
         b = batches[0]
-        assert b.token_ids.shape == (2, 5)
+        assert b.token_ids.shape == (8,)
         assert list(b.lengths) == [3, 5]
-        assert list(b.token_ids[0]) == [1, 2, 3, PAD_ID, PAD_ID]
-        assert b.label_seqs[0, -1] == LABEL_PAD
-        assert list(b.label_lengths) == [5, 7]
+        assert list(b.token_ids) == [1, 2, 3, 1, 2, 3, 4, 5]
+        assert PAD_ID not in b.token_ids
+        assert [len(seq) for seq in b.targets] == [5, 7]
+
+    @given(
+        st.lists(st.integers(1, 9), min_size=1, max_size=12),
+        st.integers(1, 5),
+        st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_documents_laid_end_to_end(self, sizes, batch_size, seed):
+        # example i's ids are 10*i.. and its framed targets start with i
+        framed = [
+            (np.arange(10 * i, 10 * i + n, dtype=np.int64), [i] + list(range(n % 4)) + [99])
+            for i, n in enumerate(sizes)
+        ]
+        batches = make_batches(framed, batch_size, None if seed is None else RngStream(seed))
+        seen = []
+        for b in batches:
+            docs = [framed[seq[0]] for seq in b.targets]
+            assert b.token_ids.dtype == np.int64 and b.lengths.dtype == np.int64
+            assert np.array_equal(b.token_ids, np.concatenate([tok for tok, _ in docs]))
+            assert b.lengths.tolist() == [len(tok) for tok, _ in docs]
+            assert b.lengths.sum() == b.token_ids.size
+            assert b.targets == [seq for _, seq in docs]
+            assert len(b) == len(docs)
+            seen += [seq[0] for seq in b.targets]
+        assert sorted(seen) == list(range(len(framed)))
+        assert [len(b) for b in batches[:-1]] == [batch_size] * (len(batches) - 1)
 
     def test_batch_count(self):
         batches = make_batches(self.make_framed([2] * 10), batch_size=4)

@@ -413,7 +413,7 @@ class TestEncoder:
             if path == "graph":
                 def encode(token_ids, train=False, rng=None, m=m):
                     states = graph_encode(m, token_ids, train, rng)
-                    return EncoderOutput(states, states @ m.params["attn.w_enc"], states.data.shape[0])
+                    return EncoderOutput(states, states @ m.params["attn.w_enc"])
 
                 monkeypatch.setattr(m, "encode", encode)
                 monkeypatch.setattr(model_module, "lstm_cell_step", graph_cell_step)

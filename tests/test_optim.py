@@ -271,6 +271,13 @@ class TestClip:
         assert factor < 1.0
         assert peak < 1_000_000
 
+    def test_scratch_stays_two_blocks(self):
+        # a table-sized gradient is squared a block at a time, not all at once
+        store = make_store({"table": np.zeros((50002, 64))})
+        store["table"].grad = np.random.default_rng(0).normal(size=(50002, 64))
+        assert clip_gradients(store, 1.0) < 1.0
+        assert store._buffer.size <= 2 * ADAM_BLOCK
+
     def test_rejects_nonfinite_and_bad_norm(self):
         store = make_store({"w": np.zeros(2)})
         store["w"].grad = np.array([1.0, np.nan])

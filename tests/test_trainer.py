@@ -133,32 +133,16 @@ class TestPadding:
             (ex.token_ids, corpus.frame_labels(corpus.sort_labels(ex.label_ids, lv), lv))
             for ex in examples
         ]
-        batches = corpus.make_batches(framed, batch_size=3)
-        recovered = [row for b in batches for row in trainer._batch_rows(b)]
+        batches = corpus.make_batches(framed, batch_size=4)
+        recovered = [
+            row
+            for b in batches
+            for row in zip(np.split(b.token_ids, np.cumsum(b.lengths)[:-1]), b.targets)
+        ]
         assert len(recovered) == len(framed)
         for (tok_a, fr_a), (tok_b, fr_b) in zip(framed, recovered):
             assert np.array_equal(tok_a, tok_b)
             assert list(fr_a) == list(fr_b)
-
-    def test_loss_unaffected_by_batch_companions(self):
-        # the same example scores identically whether batched with a longer
-        # neighbor (forcing padding) or alone
-        records = [
-            {"text": "a b", "labels": ["X"]},
-            {"text": "c d e f g h", "labels": ["X", "Y"]},
-        ]
-        examples, vocab, lv = build_corpus(records)
-        m = Seq2LabelModel(ModelConfig(embed_size=4, encoder_hidden=3, decoder_hidden=4),
-                           len(vocab), len(lv), RngStream(3))
-        framed = [
-            (ex.token_ids, corpus.frame_labels(corpus.sort_labels(ex.label_ids, lv), lv))
-            for ex in examples
-        ]
-        padded = corpus.make_batches(framed, batch_size=2)[0]
-        rows = list(trainer._batch_rows(padded))
-        solo = sequence_loss(m, framed[0][0], framed[0][1]).item()
-        from_batch = sequence_loss(m, rows[0][0], rows[0][1]).item()
-        assert solo == from_batch
 
 
 class Recorder:
@@ -234,6 +218,25 @@ class TestBatchEncoding:
         assert grads.keys() == ref_grads.keys()
         for name in grads:
             assert np.max(np.abs(grads[name] - ref_grads[name])) <= 1e-12, name
+
+    def test_loss_unaffected_by_batch_companions(self):
+        # the same example scores identically whether read back from a batch
+        # with a longer neighbor or alone
+        records = [
+            {"text": "a b", "labels": ["X"]},
+            {"text": "c d e f g h", "labels": ["X", "Y"]},
+        ]
+        examples, vocab, lv = build_corpus(records)
+        m = Seq2LabelModel(ModelConfig(embed_size=4, encoder_hidden=3, decoder_hidden=4),
+                           len(vocab), len(lv), RngStream(3))
+        framed = [
+            (ex.token_ids, corpus.frame_labels(corpus.sort_labels(ex.label_ids, lv), lv))
+            for ex in examples
+        ]
+        batch = corpus.make_batches(framed, batch_size=2)[0]
+        solo = sequence_loss(m, framed[0][0], framed[0][1]).item()
+        from_batch = sequence_loss(m, batch.token_ids[: batch.lengths[0]], batch.targets[0]).item()
+        assert solo == from_batch
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("ge_mode", ["off", "gate", "lambda"])
