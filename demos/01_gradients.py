@@ -15,9 +15,8 @@ from seq2label.numerics import (
     finite_difference_check,
     lstm_cell_step,
     add_lstm_params,
+    masked_softmax,
     sigmoid,
-    softmax_masked,
-    cross_entropy,
     tanh,
 )
 
@@ -35,13 +34,16 @@ print(f"dy/db = {b.grad.item():.6f}   by hand: {(1 - t * t) * 0.7:.6f}")
 
 print()
 print("== the masked softmax that drives decoding ==")
-logits = Tensor(np.array([2.0, 0.5, 1.0, 0.0]), requires_grad=True)
+logits = np.array([2.0, 0.5, 1.0, 0.0])
 mask = np.array([0.0, -np.inf, 0.0, 0.0])  # class 1 already emitted
-probs = softmax_masked(logits, mask)
-print(f"probabilities: {np.round(probs.data, 4)}  (masked entry is exactly {probs.data[1]})")
-loss = cross_entropy(probs, 2)
-loss.backward()
-print(f"cross-entropy on class 2: {loss.item():.6f}, grad on masked logit: {logits.grad[1]}")
+probs = masked_softmax(logits, mask)
+print(f"probabilities: {np.round(probs, 4)}  (masked entry is exactly {probs[1]})")
+# training scores a target in log space: logsumexp of the masked logits minus
+# the target's logit, finite even where the probability underflows to 0.0
+z = logits + mask
+loss = np.log(np.exp(z - z.max()).sum()) + z.max() - z[2]
+print(f"cross-entropy on class 2: {loss:.6f} = -log p[2] = {-np.log(probs[2]):.6f}")
+assert np.isclose(loss, -np.log(probs[2]), rtol=1e-12)
 
 print()
 print("== an LSTM cell stepped by hand ==")

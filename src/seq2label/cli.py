@@ -28,7 +28,8 @@ from .trainer import TrainConfig
 class _CommandLineOptions:
     """The options only the command line has: paths, data, decoding, reporting."""
 
-    # paths
+    # paths; ``config`` is the --config file itself, an input of every command
+    config: str | None = None
     train: str | None = None
     valid: str | None = None
     test: str | None = None
@@ -79,7 +80,8 @@ RunConfig = make_dataclass(
     },
 )
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# every option a config file or a flag can set (a config file names no config file)
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig) if f.name != "config"}
 
 
 def _parse_bool(text: str) -> bool:
@@ -139,7 +141,7 @@ def read_config_file(path: str) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config-file values, then explicitly passed flags."""
-    cfg = RunConfig()
+    cfg = RunConfig(config=args.config)
     if args.config:
         cfg = replace(cfg, **read_config_file(args.config))
     overrides = {
@@ -166,17 +168,18 @@ def _require(cfg: RunConfig, names: list[str], command: str) -> None:
         raise ConfigError(f"{command} requires {flags}")
 
 
-def _check_outputs(cfg: RunConfig, names: list[str], inputs: list[str]) -> None:
+def _check_outputs(cfg: RunConfig, names: list[str], inputs: list[str], derived=()) -> None:
     """Refuse, before any work, output paths that cannot be created, and an
     output that names an input or another output (through a symlink too).
-    Streams such as /dev/stdin and /dev/stdout are exempt."""
+    ``names`` and ``inputs`` are option names (the --config file is an input
+    of every command); ``derived`` adds (label, path) pairs of outputs that
+    no option names. Streams such as /dev/stdin and /dev/stdout are exempt."""
     seen: dict[str, str] = {}
-    for name in inputs:
+    for name in [*inputs, "config"]:
         path = getattr(cfg, name)
         if path and not _is_stream(path):
-            seen[os.path.realpath(path)] = name
-    for name in names:
-        path = getattr(cfg, name)
+            seen[os.path.realpath(path)] = _flag(name)
+    for label, path in [(_flag(name), getattr(cfg, name)) for name in names] + list(derived):
         if not path:
             continue
         folder = os.path.dirname(path) or "."
@@ -188,8 +191,8 @@ def _check_outputs(cfg: RunConfig, names: list[str], inputs: list[str]) -> None:
             continue
         real = os.path.realpath(path)
         if real in seen:
-            raise DataError(f"{_flag(seen[real])} and {_flag(name)} name the same file {path}")
-        seen[real] = name
+            raise DataError(f"{seen[real]} and {label} name the same file {path}")
+        seen[real] = label
 
 
 def _is_stream(path: str) -> bool:
@@ -389,14 +392,16 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    """Write the generated corpora to JSONL files (developer utility)."""
+    """Write the generated corpora to JSONL files (developer utility): the
+    memorization corpus to --out, the correlated pair corpus beside it."""
     _require(cfg, ["out"], "synth")
-    _check_outputs(cfg, ["out"], [])
+    base, ext = os.path.splitext(cfg.out)
+    pairs = {part: f"{base}-pairs-{part}{ext}" for part in ("train", "heldout")}
+    _check_outputs(cfg, ["out"], [], [(f"the {part} pairs of --out", path) for part, path in pairs.items()])
     train, held = synthetic.correlated_pair_corpus(cfg.seed)
     corpus.write_jsonl(cfg.out, synthetic.memorization_corpus(cfg.seed))
-    base, ext = os.path.splitext(cfg.out)
-    corpus.write_jsonl(f"{base}-pairs-train{ext}", train)
-    corpus.write_jsonl(f"{base}-pairs-heldout{ext}", held)
+    corpus.write_jsonl(pairs["train"], train)
+    corpus.write_jsonl(pairs["heldout"], held)
     return 0
 
 

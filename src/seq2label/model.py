@@ -22,14 +22,12 @@ from .numerics import (
     RngStream,
     Tensor,
     add_lstm_params,
+    attention_head,
     concat,
     dropout,
     lstm_cell_step,
     lstm_sequence,
     sigmoid,
-    softmax,
-    softmax_masked,
-    tanh,
 )
 
 GE_MODES = ("off", "gate", "lambda")
@@ -61,42 +59,87 @@ class ModelConfig:
 
 @dataclass
 class EncoderOutput:
-    states: Tensor        # (m, 2 * encoder_hidden)
-    proj: Tensor          # (m, attn_dim), states already projected for scoring
+    """Encoder states of documents of ``lengths`` rows laid end to end."""
+
+    states: Tensor        # (N, 2 * encoder_hidden)
+    proj: Tensor          # (N, attn_dim), states already projected for scoring
+    lengths: list[int]
+
+    def take(self, order) -> EncoderOutput:
+        """The documents at positions ``order``, laid end to end in that order."""
+        if list(order) == list(range(len(self.lengths))):
+            return self
+        lens = np.asarray(self.lengths)
+        starts = np.cumsum(lens) - lens
+        rows = np.concatenate([np.arange(starts[d], starts[d] + lens[d]) for d in order])
+        return EncoderOutput(self.states[rows], self.proj[rows], lens[order].tolist())
 
 
 @dataclass
 class DecoderState:
-    """Everything one decoding hypothesis carries between steps.
+    """Everything one decoding hypothesis, or a batch of documents decoded
+    together, carries between steps.
 
+    For one hypothesis every tensor is a vector, ``prev_class`` an int and
+    ``mask`` a vector; for a batch each holds one row per document (a
+    (B, ·) matrix, a (B,) class array, a (B, C) mask).
     ``y_prev`` is the full output distribution of the previous step (None
     before the first step); ``prev_class`` is the class actually chosen from
     it. ``context`` is the attention context that produced ``y_prev``; the
     next step feeds it into the recurrence before computing a fresh one.
+    ``loss`` is that step's loss of the targets it was given (None without).
     """
 
     layers: list[tuple[Tensor, Tensor]]
     context: Tensor
     y_prev: Tensor | None
-    prev_class: int
+    prev_class: int | np.ndarray
     mask: np.ndarray = field(repr=False)
+    loss: Tensor | None = None
+
+    def keep(self, n: int) -> DecoderState:
+        """The state of a batch's first ``n`` documents."""
+        if n == len(self.mask):
+            return self
+        return DecoderState(
+            layers=[(h[:n], c[:n]) for h, c in self.layers],
+            context=self.context[:n],
+            y_prev=None if self.y_prev is None else self.y_prev[:n],
+            prev_class=self.prev_class[:n],
+            mask=self.mask[:n],
+        )
 
 
-def update_mask(mask: np.ndarray, emitted: int, eos_class: int) -> np.ndarray:
-    """Return a copy of ``mask`` with ``emitted`` struck out.
+def update_mask(mask: np.ndarray, emitted, eos_class: int) -> np.ndarray:
+    """Return a copy of ``mask`` with ``emitted`` struck out: one class for a
+    vector mask, one class per row of a matrix.
 
     Emitting the terminal class changes nothing. Striking an entry twice means
     the caller ignored the mask, so that is an error rather than a no-op.
     """
     out = mask.copy()
-    if emitted == eos_class:
+    if mask.ndim == 1:
+        if emitted == eos_class:
+            return out
+        if not 0 <= emitted < mask.shape[0]:
+            raise NumericError(f"emitted class {emitted} out of range for mask of {mask.shape[0]}")
+        if mask[emitted] == -np.inf:
+            raise NumericError(f"class {emitted} was already emitted")
+        out[emitted] = -np.inf
         return out
-    if not 0 <= emitted < mask.shape[0]:
-        raise NumericError(f"emitted class {emitted} out of range for mask of {mask.shape[0]}")
-    if np.isneginf(mask[emitted]):
-        raise NumericError(f"class {emitted} was already emitted")
-    out[emitted] = -np.inf
+    cls = np.asarray(emitted)
+    if cls.shape != mask.shape[:1] or np.any((cls < 0) | (cls >= mask.shape[1])):
+        raise NumericError(f"emitted classes {emitted} do not fit a mask of shape {mask.shape}")
+    rows = np.nonzero(cls != eos_class)[0]
+    if np.any(out[rows, cls[rows]] == -np.inf):
+        raise NumericError(f"a class of {emitted} was already emitted")
+    out[rows, cls[rows]] = -np.inf
     return out
+
+
+def _linear(w: Tensor, x: Tensor) -> Tensor:
+    """``w`` applied to a vector, or to each row of a matrix."""
+    return w @ x if x.data.ndim == 1 else x @ w.T
 
 
 class Seq2LabelModel:
@@ -152,11 +195,11 @@ class Seq2LabelModel:
 
     def encode(self, token_ids: np.ndarray, train: bool = False, rng: RngStream | None = None) -> EncoderOutput:
         """Run the bidirectional encoder over one document."""
-        return self.encode_batch(token_ids, [np.size(token_ids)], train, rng)[0]
+        return self.encode_batch(token_ids, [np.size(token_ids)], train, rng)
 
     def encode_batch(
         self, token_ids: np.ndarray, lengths, train: bool = False, rng: RngStream | None = None
-    ) -> list[EncoderOutput]:
+    ) -> EncoderOutput:
         """Run the bidirectional encoder over documents of ``lengths`` ids
         laid end to end in ``token_ids``.
 
@@ -180,9 +223,7 @@ class Seq2LabelModel:
             fwd = self._run_direction(f"enc.l{layer}.fwd", x, lengths)
             bwd = self._run_direction(f"enc.l{layer}.bwd", x, lengths, reverse=True)
             x = concat([fwd, bwd])
-        proj = x @ self.params["attn.w_enc"]
-        bounds = np.cumsum([0, *lengths]).tolist()
-        return [EncoderOutput(states=x[a:b], proj=proj[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return EncoderOutput(states=x, proj=x @ self.params["attn.w_enc"], lengths=[int(n) for n in lengths])
 
     def _run_direction(self, prefix: str, x: Tensor, lengths, reverse: bool = False) -> Tensor:
         p = self.params
@@ -190,38 +231,44 @@ class Seq2LabelModel:
 
     # -- decoder ------------------------------------------------------------
 
-    def init_state(self) -> DecoderState:
+    def init_state(self, batch: int | None = None) -> DecoderState:
+        """The state before the first step: of one hypothesis (vectors), or
+        of ``batch`` documents decoded together (one row each)."""
         cfg = self.config
+        rows = () if batch is None else (batch,)
         layers = [
-            (Tensor(np.zeros(cfg.decoder_hidden)), Tensor(np.zeros(cfg.decoder_hidden)))
+            (Tensor(np.zeros(rows + (cfg.decoder_hidden,))), Tensor(np.zeros(rows + (cfg.decoder_hidden,))))
             for _ in range(cfg.decoder_layers)
         ]
         return DecoderState(
             layers=layers,
-            context=Tensor(np.zeros(2 * cfg.encoder_hidden)),
+            context=Tensor(np.zeros(rows + (2 * cfg.encoder_hidden,))),
             y_prev=None,
-            prev_class=self.bos_class,
-            mask=np.zeros(self.num_labels + 1),
+            prev_class=self.bos_class if batch is None else np.full(batch, self.bos_class),
+            mask=np.zeros(rows + (self.num_labels + 1,)),
         )
 
-    def attend(self, state_vec: Tensor, enc: EncoderOutput) -> tuple[Tensor, Tensor]:
-        """Additive attention over encoder states; returns (weights, context)."""
-        scores = tanh(enc.proj + (state_vec @ self.params["attn.w_state"])) @ self.params["attn.v"]
-        alpha = softmax(scores)
-        return alpha, alpha @ enc.states
+    def attend(self, s_top: Tensor, enc: EncoderOutput, mask: np.ndarray, targets=None) -> tuple[Tensor, np.ndarray]:
+        """Attention of the top decoder state over the encoder states, with
+        the output layer, masked softmax and loss on top: one
+        ``attention_head`` node, row b of a batch reading document b of
+        ``enc``. Returns (out, alpha): ``out`` joins [context, y, loss]."""
+        p = self.params
+        return attention_head(
+            s_top, enc.states, enc.proj, p["attn.w_state"], p["attn.v"],
+            p["out.w_state"], p["out.w_context"], p["out.w_logits"], mask, enc.lengths, targets,
+        )
 
     def input_embedding(self, state: DecoderState) -> Tensor:
-        """Embedding of the previous prediction, per the configured mix mode."""
-        table = self.params["embed.labels"]
-        if state.y_prev is None:
-            return table[self.bos_class]
-        if self.config.ge_mode == "off":
-            return table[state.prev_class]
+        """Embedding of the previous prediction, per the configured mix mode
+        (of the start marker before the first step)."""
+        if state.y_prev is None or self.config.ge_mode == "off":
+            return self.params["embed.labels"][state.prev_class]
         if self.config.ge_mode == "gate":
             return self.global_embedding(state.y_prev, state.prev_class)
         return self.fixed_lambda_embedding(state.y_prev, state.prev_class)
 
-    def global_embedding(self, y_prev: Tensor, prev_class: int) -> Tensor:
+    def global_embedding(self, y_prev: Tensor, prev_class) -> Tensor:
         """Gated blend of the chosen label's embedding with the expected one.
 
         The expected embedding averages real-label rows under the previous
@@ -229,12 +276,12 @@ class Seq2LabelModel:
         """
         table = self.params["embed.labels"]
         e = table[prev_class]
-        avg = y_prev[:self.num_labels] @ table[:self.num_labels]
-        gate = sigmoid((self.params["ge.w_choice"] @ e) + (self.params["ge.w_average"] @ avg))
-        one = Tensor(np.ones(self.config.embed_size))
+        avg = y_prev[..., :self.num_labels] @ table[:self.num_labels]
+        gate = sigmoid(_linear(self.params["ge.w_choice"], e) + _linear(self.params["ge.w_average"], avg))
+        one = Tensor(np.ones(e.data.shape))
         return ((one - gate) * e) + (gate * avg)
 
-    def fixed_lambda_embedding(self, y_prev: Tensor, prev_class: int) -> Tensor:
+    def fixed_lambda_embedding(self, y_prev: Tensor, prev_class) -> Tensor:
         """Like global_embedding but with a constant blend weight.
 
         At lambda 0 the chosen embedding is returned as-is, bypassing the
@@ -245,7 +292,7 @@ class Seq2LabelModel:
         lam = self.config.ge_lambda
         if lam == 0.0:
             return e
-        avg = y_prev[:self.num_labels] @ table[:self.num_labels]
+        avg = y_prev[..., :self.num_labels] @ table[:self.num_labels]
         return (e * (1.0 - lam)) + (avg * lam)
 
     def decoder_step(
@@ -254,43 +301,43 @@ class Seq2LabelModel:
         enc: EncoderOutput,
         train: bool = False,
         rng: RngStream | None = None,
+        targets=None,
     ) -> tuple[DecoderState, Tensor, Tensor]:
         """One decoder step: returns (next_state, output_probs, attn_weights).
 
         The recurrence consumes the previous step's attention context; a fresh
         context is computed from the new top state and feeds the output layer.
         The caller picks a class from the probabilities and commits it with
-        ``advance`` before stepping again.
+        ``advance`` before stepping again. A batch's state steps its B rows
+        together, row b attending over document b of ``enc`` (the attention
+        weights are then each document's, end to end); given ``targets``
+        (one class per row), ``next_state.loss`` holds each row's loss.
         """
         cfg = self.config
+        p = self.params
         mode = "train" if train else "eval"
         x = concat([self.input_embedding(state), state.context])
         new_layers = []
         for layer in range(cfg.decoder_layers):
-            h, c = state.layers[layer]
-            wx = self.params[f"dec.l{layer}.wx"]
-            wh = self.params[f"dec.l{layer}.wh"]
-            b = self.params[f"dec.l{layer}.b"]
-            h, c = lstm_cell_step(x, (h, c), wx, wh, b)
+            weights = (p[f"dec.l{layer}.{w}"] for w in ("wx", "wh", "b"))
+            h, c = lstm_cell_step(x, state.layers[layer], *weights)
             new_layers.append((h, c))
             x = dropout(h, cfg.dropout, mode, rng) if layer + 1 < cfg.decoder_layers else h
-        s_top = new_layers[-1][0]
-        alpha, context = self.attend(s_top, enc)
-        hidden = tanh(
-            (self.params["out.w_state"] @ s_top) + (self.params["out.w_context"] @ context)
-        )
-        logits = self.params["out.w_logits"] @ hidden
-        y = softmax_masked(logits, state.mask)
+        out, alpha = self.attend(new_layers[-1][0], enc, state.mask, targets)
+        width, classes = 2 * cfg.encoder_hidden, self.num_labels + 1
+        y = out[..., width:width + classes]
         next_state = DecoderState(
             layers=new_layers,
-            context=context,
+            context=out[..., :width],
             y_prev=y,
             prev_class=state.prev_class,
             mask=state.mask,
+            loss=None if targets is None else out[..., width + classes],
         )
-        return next_state, y, alpha
+        return next_state, y, Tensor(alpha)
 
-    def advance(self, state: DecoderState, emitted: int) -> DecoderState:
-        """Commit a chosen class: record it and strike it from the mask."""
+    def advance(self, state: DecoderState, emitted) -> DecoderState:
+        """Commit a chosen class (one per row of a batch): record it and
+        strike it from the mask."""
         mask = update_mask(state.mask, emitted, self.eos_class) if self.config.use_mask else state.mask.copy()
         return replace(state, prev_class=emitted, mask=mask)

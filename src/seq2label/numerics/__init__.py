@@ -1,18 +1,16 @@
-"""Autodiff tensors, RNG, parameters, optimizer, LSTM ops, gradient checks."""
+"""Autodiff tensors, RNG, parameters, optimizer, LSTM ops, the attention head, gradient checks."""
 
 from .gradcheck import finite_difference_check
+from .head import attention_head, masked_softmax
 from .lstm import add_lstm_params, lstm_cell_step, lstm_sequence
 from .params import ParameterStore, adam_step, clip_gradients
 from .rng import RngStream
 from .tensor import (
     Tensor,
     concat,
-    cross_entropy,
     dropout,
     no_grad,
     sigmoid,
-    softmax,
-    softmax_masked,
     tanh,
 )
 
@@ -22,16 +20,15 @@ __all__ = [
     "RngStream",
     "adam_step",
     "add_lstm_params",
+    "attention_head",
     "clip_gradients",
     "concat",
-    "cross_entropy",
     "dropout",
     "finite_difference_check",
     "lstm_cell_step",
     "lstm_sequence",
+    "masked_softmax",
     "no_grad",
     "sigmoid",
-    "softmax",
-    "softmax_masked",
     "tanh",
 ]

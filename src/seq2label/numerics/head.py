@@ -1,0 +1,171 @@
+"""The decoder's read-out as one graph node: additive attention over the
+encoder states, the output layer, the masked softmax and the training loss.
+
+For a top decoder state s the node computes
+
+    alpha   = softmax(tanh(proj + s @ w_query) @ v)      over s's own document
+    context = alpha @ states
+    hidden  = tanh(w_out_state @ s + w_out_context @ context)
+    y       = softmax(w_logits @ hidden + mask)
+    loss    = logsumexp(w_logits @ hidden + mask) - logit[target]
+
+The loss is taken in log space, so a legal target whose probability
+underflows to 0.0 in ``y`` still has a finite loss and gradient. ``s`` is a
+vector (one document, the decoding path: the expressions above, in this
+order, on vectors) or a (B, H) matrix whose row b attends over document b of
+the documents laid end to end in ``states``. Backward is written by hand.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..errors import NumericError, ShapeError
+from .tensor import Tensor, _accum, _node
+
+
+def _softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Softmax along the last axis, with the max and the normalizer (both
+    kept as a trailing axis of length 1). -inf entries come out exactly 0."""
+    top = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - top)
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, top, total
+
+
+def _segments(lens) -> tuple[np.ndarray, np.ndarray]:
+    """For B documents of ``lens`` rows laid end to end, m rows in all: each
+    row's document, and the (B, m) 0/1 matrix whose entry [b, i] is 1 where
+    row i is of document b."""
+    owner = np.repeat(np.arange(len(lens)), lens)
+    seg = np.zeros((len(lens), owner.size))
+    seg[owner, np.arange(owner.size)] = 1.0
+    return owner, seg
+
+
+def masked_softmax(logits: np.ndarray, mask: np.ndarray, targets=None):
+    """Probabilities along the last axis of ``logits``, masked positions exactly 0.
+
+    ``mask`` holds 0.0 at allowed positions and -inf at forbidden ones; it is
+    added to the logits before a max-subtracted exponentiation, so finite
+    logits never overflow. Given ``targets`` (one class per row), returns
+    ``(probabilities, loss)`` with each row's loss taken in log space:
+    logsumexp of the masked logits minus the target's logit.
+    """
+    logits, mask = np.asarray(logits, dtype=np.float64), np.asarray(mask, dtype=np.float64)
+    if mask.shape != logits.shape:
+        raise ShapeError(f"logits shape {logits.shape} and mask shape {mask.shape} must be equal")
+    allowed = mask == 0.0
+    if not np.all(allowed | (mask == -np.inf)):
+        raise NumericError("mask entries must be 0 or -inf")
+    if not allowed.any(axis=-1).all():
+        raise NumericError("no unmasked label")
+    z = logits + mask
+    y, top, total = _softmax(z)
+    if targets is None:
+        return y
+    tgt = np.asarray(targets)
+    classes = logits.shape[-1]
+    if tgt.shape != logits.shape[:-1] or tgt.dtype.kind not in "iu" or tgt.min() < 0 or tgt.max() >= classes:
+        raise ShapeError(f"targets {targets!r} must be one class in [0, {classes}) per row")
+    if not np.take_along_axis(allowed, tgt[..., None], -1).all():
+        raise NumericError("target label masked")
+    return y, (np.log(total) - (np.take_along_axis(z, tgt[..., None], -1) - top))[..., 0]
+
+
+def attention_head(
+    s: Tensor,
+    states: Tensor,
+    proj: Tensor,
+    w_query: Tensor,
+    v: Tensor,
+    w_out_state: Tensor,
+    w_out_context: Tensor,
+    w_logits: Tensor,
+    mask: np.ndarray,
+    lengths=None,
+    targets=None,
+) -> tuple[Tensor, np.ndarray]:
+    """Attention, output layer, masked softmax and loss for each row of ``s``.
+
+    ``states`` (N, 2E) and ``proj`` (N, A) hold documents of ``lengths`` rows
+    laid end to end (one document of N rows by default); row b of ``s``
+    attends over document b, and documents past the last row of ``s`` are
+    not read. ``mask`` has one row of 0/-inf entries per row of ``s``, over
+    the C output classes. ``targets`` (an int per row) adds the loss.
+
+    Returns ``(out, alpha)``: ``out`` joins [context (2E), y (C), loss (1,
+    with targets only)] along its last axis, one row per row of ``s``, and
+    is read out by indexing; ``alpha`` holds the attention weights (a
+    vector for one document, else each document's weights end to end) and
+    carries no gradient.
+    """
+    sd, st, pj = s.data, states.data, proj.data
+    if sd.ndim not in (1, 2) or sd.shape[0] == 0 or st.ndim != 2 or pj.ndim != 2 or pj.shape[0] != st.shape[0]:
+        raise ShapeError(f"attention_head expects s (H,) or (B, H) and (N, ·) states and projections, "
+                         f"got {sd.shape}, {st.shape}, {pj.shape}")
+    rows = 1 if sd.ndim == 1 else sd.shape[0]
+    lens = [st.shape[0]] if lengths is None else lengths[:rows]
+    m = sum(lens)
+    if len(lens) != rows or min(lens) < 1 or m > st.shape[0]:
+        raise ShapeError(f"lengths {lengths!r} do not cover {rows} documents of the {st.shape[0]} state rows")
+    st, pj = st[:m], pj[:m]
+    if sd.ndim == 1:
+        th = np.tanh(pj + (sd @ w_query.data))
+        alpha = _softmax(th @ v.data)[0]
+        ctx = alpha @ st
+        hidden = np.tanh((w_out_state.data @ sd) + (w_out_context.data @ ctx))
+        logits = w_logits.data @ hidden
+        owner = seg = None  # built by backward, when a gradient is asked for
+    else:
+        starts = np.cumsum(lens) - lens
+        owner, seg = _segments(lens)
+        th = np.tanh(pj + (sd @ w_query.data)[owner])
+        scores = th @ v.data
+        e = np.exp(scores - np.maximum.reduceat(scores, starts)[owner])
+        alpha = e / np.add.reduceat(e, starts)[owner]
+        ctx = (seg * alpha) @ st
+        hidden = np.tanh((sd @ w_out_state.data.T) + (ctx @ w_out_context.data.T))
+        logits = hidden @ w_logits.data.T
+    tgt = None if targets is None else np.asarray(targets)
+    if tgt is None:
+        y = masked_softmax(logits, mask)
+        parts = [ctx, y]
+    else:
+        y, loss = masked_softmax(logits, mask, tgt)
+        parts = [ctx, y, loss[..., None]]
+    classes = y.shape[-1]
+
+    def bw(g, s=s, states=states, proj=proj, w_query=w_query, v=v,
+           w_out_state=w_out_state, w_out_context=w_out_context, w_logits=w_logits):
+        nonlocal owner, seg
+        if seg is None:
+            owner, seg = _segments(lens)
+        # the vector case is the (1, ·) one
+        g = g.reshape(rows, -1)
+        s2, ctx2, hid2, y2 = (a.reshape(rows, -1) for a in (sd, ctx, hidden, y))
+        width = ctx2.shape[1]
+        g_ctx, g_y = g[:, :width], g[:, width:width + classes]
+        dz = y2 * (g_y - (g_y * y2).sum(axis=1, keepdims=True))
+        if tgt is not None:
+            g_loss = g[:, -1]
+            dz += g_loss[:, None] * y2
+            dz[np.arange(rows), tgt.reshape(rows)] -= g_loss
+        _accum(w_logits, dz.T @ hid2)
+        du = (dz @ w_logits.data) * (1.0 - hid2 * hid2)
+        _accum(w_out_state, du.T @ s2)
+        _accum(w_out_context, du.T @ ctx2)
+        d_ctx = g_ctx + du @ w_out_context.data
+        _accum(states, (seg * alpha).T @ d_ctx, slice(0, m))
+        d_alpha = (d_ctx @ st.T)[owner, np.arange(m)]
+        d_scores = alpha * (d_alpha - (seg @ (alpha * d_alpha))[owner])
+        _accum(v, th.T @ d_scores)
+        d_pre = np.outer(d_scores, v.data) * (1.0 - th * th)
+        _accum(proj, d_pre, slice(0, m))
+        d_query = seg @ d_pre
+        _accum(w_query, s2.T @ d_query)
+        _accum(s, ((du @ w_out_state.data) + (d_query @ w_query.data.T)).reshape(sd.shape))
+
+    parents = (s, states, proj, w_query, v, w_out_state, w_out_context, w_logits)
+    out = _node(np.concatenate(parts, axis=-1), parents, bw)
+    return out, alpha

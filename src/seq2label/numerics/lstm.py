@@ -1,6 +1,6 @@
 """LSTM recurrence: a fused op over whole sequences (one document, or a
-batch of documents packed time-major), a single cell step, and the parameter
-initializer.
+batch of documents packed time-major), a single cell step (one document, or
+one row per document), and the parameter initializer.
 
 Weight layout: wx is (input_dim, 4H), wh is (H, 4H), b is (4H,), with the four
 gate blocks ordered input, forget, cell, output. Both ops share one step
@@ -185,27 +185,36 @@ def lstm_cell_step(
 ) -> tuple[Tensor, Tensor]:
     """Advance an LSTM cell one step; returns (h', c').
 
-    Records one graph node holding the joined [h', c'], and one indexing node
-    reading out each half.
+    ``x``, ``h`` and ``c`` are vectors, or (B, ·) matrices holding one
+    document per row. Records one graph node holding h' and c' joined along
+    the first axis, and one indexing node reading out each half.
     """
     h, c = state
-    hd = h.data.shape[0]
-    _check_weights(x.data.shape[0] if x.data.ndim == 1 else -1, hd, wx, wh, b)
-    act, tanh_c, cell = np.empty(4 * hd), np.empty(hd), np.empty(2 * hd)
-    _step((x.data @ wx.data) + (h.data @ wh.data) + b.data, c.data, act, cell[hd:], tanh_c, cell[:hd])
+    xd, hd = x.data, h.data
+    if xd.ndim not in (1, 2) or hd.ndim != xd.ndim or hd.shape[:-1] != xd.shape[:-1] or c.data.shape != hd.shape:
+        raise ShapeError(f"lstm_cell_step expects x, h and c of one rank and row count, got "
+                         f"{xd.shape}, {hd.shape}, {c.data.shape}")
+    _check_weights(xd.shape[-1], hd.shape[-1], wx, wh, b)
+    n, hidden = hd.shape[0], hd.shape[-1]
+    act, tanh_c = np.empty(hd.shape[:-1] + (4 * hidden,)), np.empty(hd.shape)
+    cell = np.empty((2 * n,) + hd.shape[1:])
+    _step((xd @ wx.data) + (hd @ wh.data) + b.data, c.data, act, cell[n:], tanh_c, cell[:n])
 
     def bw(g, x=x, h=h, c=c, wx=wx, wh=wh, b=b):
-        d_pre, dc = np.empty(4 * hd), g[hd:].copy()
-        _step_back(g[:hd], dc, act, _gate_slopes(act, hd), c.data, tanh_c, 1.0 - tanh_c * tanh_c, np.empty(4 * hd), d_pre)
-        _accum(x, wx.data @ d_pre)
-        _accum(h, wh.data @ d_pre)
-        _accum(wx, np.outer(x.data, d_pre))
-        _accum(wh, np.outer(h.data, d_pre))
-        _accum(b, d_pre)
+        d_pre, dc = np.empty(act.shape), g[n:].copy()
+        _step_back(g[:n], dc, act, _gate_slopes(act, hidden), c.data, tanh_c, 1.0 - tanh_c * tanh_c,
+                   np.empty(act.shape), d_pre)
+        # one document is one row of the (B, ·) forms
+        x2, h2, d2 = (a.reshape(-1, a.shape[-1]) for a in (x.data, h.data, d_pre))
+        _accum(x, (d2 @ wx.data.T).reshape(x.data.shape))
+        _accum(h, (d2 @ wh.data.T).reshape(h.data.shape))
+        _accum(wx, x2.T @ d2)
+        _accum(wh, h2.T @ d2)
+        _accum(b, d2.sum(axis=0))
         _accum(c, dc)
 
     cell = _node(cell, (x, h, c, wx, wh, b), bw)
-    return cell[:hd], cell[hd:]
+    return cell[:n], cell[n:]
 
 
 def add_lstm_params(

@@ -181,30 +181,53 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         """Entries along the first axis of a vector or matrix: an int, a slice,
-        or an index vector (repeated indices accumulate gradient)."""
+        or an index vector (repeated indices accumulate gradient). With a
+        leading Ellipsis, ``t[..., i]``, an int or a slice picks entries along
+        the last axis instead: of a vector, or of each row of a matrix."""
         shape = self.data.shape
         if len(shape) not in (1, 2):
             raise ShapeError(f"indexing expects a vector or matrix, got shape {shape}")
-        if isinstance(index, (int, np.integer)):
-            if not 0 <= index < shape[0]:
+        axis, key, inverse = shape[0], index, None
+        if isinstance(index, tuple):
+            if len(index) != 2 or index[0] is not Ellipsis or not isinstance(index[1], (int, np.integer, slice)):
+                raise ShapeError(f"a tuple index must be (..., int or slice), got {index!r}")
+            axis, key = shape[-1], index[1]
+        if isinstance(key, (int, np.integer)):
+            if not 0 <= key < axis:
                 raise ShapeError(f"index {index} out of range for shape {shape}")
-        elif not isinstance(index, slice):
-            idx = np.asarray(index)
+        elif not isinstance(key, slice):
+            idx = np.asarray(key)
             bad = idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= shape[0])
             if idx.ndim != 1 or bad:
                 raise ShapeError(f"index array must be an integer vector within range for shape {shape}")
             index = idx.astype(np.int64, copy=False)
+            if idx.size == shape[0] and idx.size and np.bincount(index, minlength=idx.size).max() == 1:
+                # a permutation of every row: its gradient is a gather, not a scatter-add
+                inverse = np.argsort(index)
 
         def bw(g, x=self, index=index):
             # add into the gradient buffer itself: no table-sized temporary
             if x.grad is None:
                 x.grad = np.zeros(shape)
-            if isinstance(index, np.ndarray):
+            if inverse is not None:
+                x.grad += g[inverse]
+            elif isinstance(index, np.ndarray):
                 np.add.at(x.grad, index, g)
             else:
                 x.grad[index] += g
 
         return _node(self.data[index].copy(), (self,), bw)
+
+    @property
+    def T(self) -> "Tensor":
+        """The transpose of a matrix; a vector is its own transpose."""
+        if self.data.ndim < 2:
+            return self
+
+        def bw(g, x=self):
+            _accum(x, g.T)
+
+        return _node(self.data.T.copy(), (self,), bw)
 
     def sum(self) -> "Tensor":
         def bw(g, x=self):
@@ -222,11 +245,12 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], bw) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, at=...) -> None:
+    """Add ``g`` into the gradient of ``t``, or into its entries ``at``."""
     if t.requires_grad:
         if t.grad is None:
             t.grad = np.zeros(t.data.shape)
-        t.grad += g
+        t.grad[at] += g
 
 
 # -- elementwise nonlinearities ------------------------------------------------
@@ -281,68 +305,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
             off += n
 
     return _node(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), bw)
-
-
-# -- classifier head primitives ---------------------------------------------------
-
-
-def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Probability vector over logit positions, with masked positions exactly 0.
-
-    ``mask`` holds 0.0 at allowed positions and -inf at forbidden ones; it is
-    added to the logits before a max-subtracted exponentiation, so finite
-    logits never overflow and masked entries come out identically zero.
-    """
-    mask = np.asarray(mask, dtype=np.float64)
-    if logits.data.ndim != 1 or mask.shape != logits.data.shape:
-        raise ShapeError(
-            f"logits shape {logits.data.shape} and mask shape {mask.shape} must be equal vectors"
-        )
-    allowed = mask == 0.0
-    if not np.all(allowed | np.isneginf(mask)):
-        raise NumericError("mask entries must be 0 or -inf")
-    if not allowed.any():
-        raise NumericError("no unmasked label")
-    z = logits.data + mask
-    return _softmax_node(logits, z, z[allowed].max())
-
-
-def softmax(logits: Tensor) -> Tensor:
-    """Probability vector over a logit vector; softmax_masked with nothing masked."""
-    if logits.data.ndim != 1:
-        raise ShapeError(f"softmax expects a vector, got shape {logits.data.shape}")
-    return _softmax_node(logits, logits.data, logits.data.max())
-
-
-def _softmax_node(logits: Tensor, z: np.ndarray, top: float) -> Tensor:
-    e = np.exp(z - top)
-    p = e / e.sum()
-
-    def bw(g, t=logits, p=p):
-        _accum(t, p * (g - float(g @ p)))
-
-    return _node(p, (logits,), bw)
-
-
-def cross_entropy(probs: Tensor, target: int) -> Tensor:
-    """Negative log-probability of the target index under ``probs``."""
-    p = probs.data
-    if p.ndim != 1:
-        raise ShapeError(f"cross_entropy expects a probability vector, got {p.shape}")
-    if not 0 <= target < p.shape[0]:
-        raise ShapeError(f"target {target} out of range for {p.shape[0]} classes")
-    if abs(p.sum() - 1.0) > 1e-8:
-        raise NumericError(f"probabilities sum to {p.sum():.6g}, not 1")
-    pt = float(p[target])
-    if pt <= 0.0:
-        raise NumericError("target label masked or zero-probability")
-
-    def bw(g, t=probs, target=target, pt=pt):
-        full = np.zeros(t.data.shape)
-        full[target] = -float(g) / pt
-        _accum(t, full)
-
-    return _node(np.float64(-np.log(pt)), (probs,), bw)
 
 
 def dropout(x: Tensor, rate: float, mode: str = "eval", rng=None) -> Tensor:

@@ -11,7 +11,7 @@ from . import corpus, inference, metrics
 from .corpus import Batch, Example, LabelVocabulary
 from .errors import ConfigError, NumericError
 from .model import EncoderOutput, Seq2LabelModel
-from .numerics import RngStream, Tensor, adam_step, clip_gradients, cross_entropy
+from .numerics import RngStream, Tensor, adam_step, clip_gradients, concat
 
 
 @dataclass
@@ -58,44 +58,61 @@ def sequence_loss(
     train: bool = False,
     rng: RngStream | None = None,
 ) -> Tensor:
-    """Sum of per-step cross-entropies under teacher forcing.
+    """Teacher-forced loss of one document: a batch of one.
 
-    ``framed`` starts with the start marker and ends with the terminal class;
-    each step's chosen class is the ground-truth target, while the blended
-    input embedding still sees the model's own previous distribution.
+    ``framed`` starts with the start marker and ends with the terminal class.
+    The loss sums, over the steps, the log-space cross-entropy of the step's
+    target, logsumexp of the masked logits minus the target's logit.
     """
-    return _decoder_loss(model, model.encode(token_ids, train, rng), framed, train, rng)
+    return decoder_losses(model, model.encode(token_ids, train, rng), [framed], train, rng)[0]
 
 
-def _decoder_loss(
-    model: Seq2LabelModel, enc: EncoderOutput, framed: list[int], train: bool, rng: RngStream | None
+def decoder_losses(
+    model: Seq2LabelModel,
+    enc: EncoderOutput,
+    targets: list[list[int]],
+    train: bool = False,
+    rng: RngStream | None = None,
 ) -> Tensor:
-    """The teacher-forced decoder half of ``sequence_loss`` over one encoded document."""
-    if len(framed) < 2:
-        raise ConfigError(f"framed sequence needs at least one target, got {framed}")
-    state = model.init_state()
-    loss: Tensor | None = None
-    for target in framed[1:]:
-        state, y, _ = model.decoder_step(state, enc, train, rng)
-        step = cross_entropy(y, int(target))
-        loss = step if loss is None else loss + step
-        state = model.advance(state, int(target))
-    return loss
+    """Each document's teacher-forced loss, shape (B,), for the documents
+    encoded together in ``enc`` with their framed ``targets``.
+
+    Each step's chosen class is the ground-truth target, while the blended
+    input embedding still sees the model's own previous distribution. The
+    documents run together, longest label sequence first, so the ones still
+    running at a step are the first rows of the previous step's: one
+    ``decoder_step`` per step covers them all.
+    """
+    steps = [len(framed) - 1 for framed in targets]
+    if min(steps) < 1:
+        raise ConfigError(f"framed sequence needs at least one target, got {targets[steps.index(min(steps))]}")
+    order = sorted(range(len(targets)), key=lambda d: -steps[d])
+    enc = enc.take(order)
+    state = model.init_state(len(order))
+    losses, owners = [], []
+    for t in range(steps[order[0]]):
+        running = [d for d in order if steps[d] > t]
+        classes = np.array([targets[d][t + 1] for d in running], dtype=np.int64)
+        state, _, _ = model.decoder_step(state.keep(len(running)), enc, train, rng, classes)
+        losses.append(state.loss)
+        owners += running
+        state = model.advance(state, classes)
+    # a 0/1 matrix sums each document's step losses
+    owned = np.zeros((len(targets), len(owners)))
+    owned[owners, np.arange(len(owners))] = 1.0
+    return Tensor(owned) @ concat(losses)
 
 
 def _backward_batch(model: Seq2LabelModel, batch: Batch, bi: int, rng: RngStream) -> float:
     """Forward and backward of one batch; returns its summed loss.
 
-    The batch's documents are encoded together by ``encode_batch``, then each
-    one's decoder runs under teacher forcing. The graph, with its saved
-    activations and intermediate gradients, is released on return, before
-    the optimizer sweeps the parameters.
+    The batch's documents are encoded together by ``encode_batch`` and
+    decoded together under teacher forcing by ``decoder_losses``. The graph,
+    with its saved activations and intermediate gradients, is released on
+    return, before the optimizer sweeps the parameters.
     """
-    encs = model.encode_batch(batch.token_ids, batch.lengths, train=True, rng=rng)
-    total: Tensor | None = None
-    for enc, framed in zip(encs, batch.targets):
-        loss = _decoder_loss(model, enc, framed, True, rng)
-        total = loss if total is None else total + loss
+    enc = model.encode_batch(batch.token_ids, batch.lengths, train=True, rng=rng)
+    total = decoder_losses(model, enc, batch.targets, True, rng).sum()
     mean = total * (1.0 / len(batch))
     if not np.isfinite(mean.data):
         raise NumericError(f"non-finite loss in batch {bi}")

@@ -333,7 +333,8 @@ class TestConfigFile:
             "beam": ("4", 4), "max_steps": ("6", 6), "lls_buckets": ("1", True),
             "lambda_list": ("0.1,0.2", "0.1,0.2"),
         }
-        assert set(cases) == {f.name for f in fields(RunConfig)}
+        # the --config path itself is the one option a config file cannot set
+        assert set(cases) == {f.name for f in fields(RunConfig)} - {"config"}
         cfg = tmp_path / "all.cfg"
         cfg.write_text("".join(f"{k.replace('_', '-')} = {text}\n" for k, (text, _) in cases.items()))
         values = read_config_file(str(cfg))
@@ -413,12 +414,14 @@ class TestExitCodes:
         assert "line 2" in err
 
     def test_numeric_failure_exits_three(self, tmp_path, capsys):
-        # a divergent learning rate drives the loss to a non-finite value
+        # a learning rate at the float limit drives the weights, and then the
+        # loss, to non-finite values (a merely divergent one, say 1e9, keeps
+        # the log-space loss finite)
         train = str(tmp_path / "t.jsonl")
         write_jsonl(train, synthetic.memorization_corpus(0)[:6])
         code, _, err = run(
             ["train", "--train", train, "--checkpoint", str(tmp_path / "m.ckpt"),
-             "--learning-rate", "1e9", "--epochs", "4", "--clip-norm", "1e30"]
+             "--learning-rate", "1e308", "--epochs", "4", "--clip-norm", "1e30"]
             + FAST[:6],
             capsys,
         )
@@ -601,10 +604,14 @@ class TestOutputPaths:
           "--label-vocab", "{tmp}/l.tsv"], "--train and --vocab"),
         (["predict", "--checkpoint", "{tmp}/model.ckpt", "--input", "{tmp}/in.jsonl",
           "--attn", "{tmp}/link.jsonl"], "--input and --attn"),
-    ], ids=["train", "predict-input", "predict-checkpoint", "evaluate", "build-vocab", "predict-through-symlink"])
+        (["train", "--config", "{tmp}/c.cfg", "--train", "{tmp}/train.jsonl", "--checkpoint", "{tmp}/c.cfg"],
+         "--config and --checkpoint"),
+    ], ids=["train", "predict-input", "predict-checkpoint", "evaluate", "build-vocab", "predict-through-symlink",
+            "train-config"])
     def test_output_naming_an_input_exits_two(self, inputs, tmp_path, capsys, argv, flags):
         shutil.copy(inputs["train"], tmp_path / "train.jsonl")
         shutil.copy(inputs["ckpt"], tmp_path / "model.ckpt")
+        (tmp_path / "c.cfg").write_text("epochs = 1\n")
         (tmp_path / "link.jsonl").symlink_to(tmp_path / "in.jsonl")
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         argv = [a.format(tmp=str(tmp_path)) for a in argv]
@@ -725,6 +732,21 @@ class TestSynth:
         assert len(open(out).readlines()) == 20
         assert os.path.exists(str(tmp_path / "synth-pairs-train.jsonl"))
         assert os.path.exists(str(tmp_path / "synth-pairs-heldout.jsonl"))
+
+    @pytest.mark.parametrize("blocker", ["directory", "symlink-to-out"])
+    def test_checks_every_output_before_writing(self, tmp_path, capsys, blocker):
+        # the pair corpora are written beside --out; one that cannot be
+        # written stops the command before --out is
+        out, pairs = tmp_path / "d.jsonl", tmp_path / "d-pairs-train.jsonl"
+        if blocker == "directory":
+            pairs.mkdir()
+        else:
+            pairs.symlink_to(out)
+        code, _, err = run(["synth", "--out", str(out)], capsys)
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["d-pairs-train.jsonl"]
+        assert not out.exists()
 
 
 def test_console_script_installed():

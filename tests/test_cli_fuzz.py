@@ -171,11 +171,11 @@ class TestFlags:
 
 # the path flags each subcommand reads and writes
 INPUTS = {
-    "build-vocab": ["train"],
-    "train": ["train", "valid"],
-    "evaluate": ["checkpoint", "test"],
-    "predict": ["checkpoint", "input"],
-    "ablate": ["train", "valid", "test"],
+    "build-vocab": ["train", "config"],
+    "train": ["train", "valid", "config"],
+    "evaluate": ["checkpoint", "test", "config"],
+    "predict": ["checkpoint", "input", "config"],
+    "ablate": ["train", "valid", "test", "config"],
 }
 OUTPUTS = {
     "build-vocab": ["vocab", "label_vocab", "out"],
@@ -190,7 +190,7 @@ OUTPUTS = {
 def output_naming_an_input(draw):
     """A subcommand with one of its output flags set to one of its input files."""
     command = draw(st.sampled_from(sorted(INPUTS)))
-    argv = [command] + BASE[command]
+    argv = [command, "--config", "run.cfg"] + BASE[command]
     if "valid" in INPUTS[command]:
         argv += ["--valid", "valid.jsonl"]
     source = draw(st.sampled_from(INPUTS[command]))
@@ -204,7 +204,8 @@ class TestOutputNamesInput:
     @given(argv=output_naming_an_input())
     def test_exits_two_and_writes_nothing(self, seed_dir, argv):
         valid = (seed_dir / "train.jsonl").read_bytes()
-        assert check_run(seed_dir, argv, {"valid.jsonl": valid}, exempt_vocab=False) == 2
+        files = {"valid.jsonl": valid, "run.cfg": b"# every option at its default\n"}
+        assert check_run(seed_dir, argv, files, exempt_vocab=False) == 2
 
 
 RECORD = st.fixed_dictionaries({

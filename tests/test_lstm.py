@@ -5,77 +5,18 @@ import numpy as np
 import pytest
 
 from oracles import lstm_step_oracle
+from reference import graph_cell_step, graph_encode, graph_sequence, graph_sequence_loss
 from seq2label.errors import ShapeError
-from seq2label import model as model_module
-from seq2label.model import EncoderOutput, ModelConfig, Seq2LabelModel
+from seq2label.model import ModelConfig, Seq2LabelModel
 from seq2label.numerics import (
     ParameterStore,
     RngStream,
     Tensor,
     add_lstm_params,
-    concat,
-    dropout,
     lstm_cell_step,
     lstm_sequence,
-    sigmoid,
-    tanh,
 )
-from seq2label.numerics.tensor import _accum, _node
 from seq2label.trainer import sequence_loss
-
-
-def graph_cell_step(x, state, wx, wh, b):
-    """The cell as a graph of generic ops (about 15 nodes per step): the
-    straightforward path the fused ops must reproduce."""
-    h, c = state
-    hidden = h.data.shape[0]
-    pre = (x @ wx) + (h @ wh) + b
-    i = sigmoid(pre[:hidden])
-    f = sigmoid(pre[hidden:2 * hidden])
-    g = tanh(pre[2 * hidden:3 * hidden])
-    o = sigmoid(pre[3 * hidden:])
-    c_new = (f * c) + (i * g)
-    return o * tanh(c_new), c_new
-
-
-def graph_sequence(rows, wx, wh, b, reverse=False):
-    """Hidden states of ``graph_cell_step`` run over a list of row vectors,
-    one per row, read last to first when ``reverse``."""
-    hidden = wh.data.shape[0]
-    state = (Tensor(np.zeros(hidden)), Tensor(np.zeros(hidden)))
-    outs = []
-    for row in reversed(rows) if reverse else rows:
-        state = graph_cell_step(row, state, wx, wh, b)
-        outs.append(state[0])
-    return outs[::-1] if reverse else outs
-
-
-def stack(rows):
-    """Rows joined into a matrix, for comparing against a fused op's output."""
-
-    def bw(g, rows=tuple(rows)):
-        for r, gr in zip(rows, g):
-            _accum(r, gr)
-
-    return _node(np.stack([r.data for r in rows]), tuple(rows), bw)
-
-
-def graph_encode(model, token_ids, train=False, rng=None):
-    """The encoder as it was built before the fused op: per-token rows, one
-    cell step per token and direction, per-row dropout between layers."""
-    cfg = model.config
-    mode = "train" if train else "eval"
-    x = dropout(model.embed(token_ids), cfg.dropout, mode, rng)
-    inputs = [x[t] for t in range(x.data.shape[0])]
-    for layer in range(cfg.encoder_layers):
-        halves = []
-        for direction in ("fwd", "bwd"):
-            weights = (model.params[f"enc.l{layer}.{direction}.{w}"] for w in ("wx", "wh", "b"))
-            halves.append(graph_sequence(inputs, *weights, reverse=direction == "bwd"))
-        inputs = [concat([f, bk]) for f, bk in zip(*halves)]
-        if layer + 1 < cfg.encoder_layers:
-            inputs = [dropout(h, cfg.dropout, mode, rng) for h in inputs]
-    return stack(inputs)
 
 
 def random_weights(rng, in_dim, hidden, scale=0.5):
@@ -361,6 +302,50 @@ class TestCell:
         for name, f, g in zip(("x", "h", "c", "wx", "wh", "b"), fused, graph):
             assert np.max(np.abs(f.grad - g.grad)) <= 1e-12, name
 
+    def test_batched_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(9)
+        x, h, c = rng.normal(size=(3, 3)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        wx, wh, b = random_weights(rng, 3, 2)
+        rh, rc = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+
+        def build(x, h, c, wx, wh, b):
+            h1, c1 = lstm_cell_step(x, (h, c), wx, wh, b)
+            h2, c2 = lstm_cell_step(x, (h1, c1), wx, wh, b)
+            return (h2 * Tensor(rh)).sum() + (c2 * Tensor(rc)).sum() + (h1 * Tensor(rc)).sum()
+
+        check_grads(build, x, h, c, wx, wh, b)
+
+    def test_batched_equals_the_per_gate_graph_per_row(self):
+        # one (B, ·) step against one graph step per row, each row its own document
+        rng = np.random.default_rng(10)
+        arrays = tuple(rng.normal(size=(4, n)) for n in (3, 5, 5)) + random_weights(rng, 3, 5)
+        rh, rc = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+        x, h, c, wx, wh, b = batched = [Tensor(a, requires_grad=True) for a in arrays]
+        state = (h, c)
+        for _ in range(3):
+            state = lstm_cell_step(x, state, wx, wh, b)
+        ((state[0] * Tensor(rh)).sum() + (state[1] * Tensor(rc)).sum()).backward()
+        gx, gh, gc, gwx, gwh, gb = graph = [Tensor(a, requires_grad=True) for a in arrays]
+        loss = None
+        for r in range(4):
+            row_state = (gh[r], gc[r])
+            for _ in range(3):
+                row_state = graph_cell_step(gx[r], row_state, gwx, gwh, gb)
+            assert np.max(np.abs(state[0].data[r] - row_state[0].data)) <= 1e-12
+            assert np.max(np.abs(state[1].data[r] - row_state[1].data)) <= 1e-12
+            term = (row_state[0] * Tensor(rh[r])).sum() + (row_state[1] * Tensor(rc[r])).sum()
+            loss = term if loss is None else loss + term
+        loss.backward()
+        for name, f, g in zip(("x", "h", "c", "wx", "wh", "b"), batched, graph):
+            assert np.max(np.abs(f.grad - g.grad)) <= 1e-12, name
+
+    def test_rejects_mismatched_rows(self):
+        wx, wh, b = (Tensor(a) for a in random_weights(np.random.default_rng(0), 3, 2))
+        with pytest.raises(ShapeError, match="row count"):
+            lstm_cell_step(Tensor(np.zeros((2, 3))), (Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2)))), wx, wh, b)
+        with pytest.raises(ShapeError, match="row count"):
+            lstm_cell_step(Tensor(np.zeros(3)), (Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))), wx, wh, b)
+
     def test_records_three_nodes(self):
         # one cell node holding [h', c'], read out by one indexing node per half
         x = Tensor(np.ones(3), requires_grad=True)
@@ -405,19 +390,20 @@ class TestEncoder:
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("ge_mode", ["off", "gate", "lambda"])
-    def test_sequence_loss_equals_the_per_gate_graph(self, layers, ge_mode, monkeypatch):
+    def test_sequence_loss_equals_the_per_gate_graph(self, layers, ge_mode):
+        # the whole model against its per-token, per-step, per-gate graph
         tokens = np.array([5, 9, 2, 27, 13, 13, 8, 3, 21])
+        framed = [5 + 1, 2, 0, 3, 5]  # start marker, three labels, terminal class
         results = []
         for path in ("fused", "graph"):
             m = self.model(encoder_layers=layers, ge_mode=ge_mode, dropout=0.25)
-            if path == "graph":
-                def encode(token_ids, train=False, rng=None, m=m):
-                    states = graph_encode(m, token_ids, train, rng)
-                    return EncoderOutput(states, states @ m.params["attn.w_enc"])
-
-                monkeypatch.setattr(m, "encode", encode)
-                monkeypatch.setattr(model_module, "lstm_cell_step", graph_cell_step)
-            loss = sequence_loss(m, tokens, [m.bos_class, 2, 0, 3, m.eos_class], train=True, rng=RngStream(4))
+            assert framed[0] == m.bos_class and framed[-1] == m.eos_class
+            rng = RngStream(4)
+            if path == "fused":
+                loss = sequence_loss(m, tokens, framed, train=True, rng=rng)
+            else:
+                states = graph_encode(m, tokens, True, rng)
+                loss = graph_sequence_loss(m, states, framed, True, rng, cell_step=graph_cell_step)
             loss.backward()
             results.append((loss.item(), {n: t.grad for n, t in m.params.items()}))
         (fused_loss, fused), (graph_loss, graph) = results

@@ -56,6 +56,17 @@ class TestMask:
         with pytest.raises(NumericError):
             update_mask(np.zeros(4), 9, eos_class=3)
 
+    def test_matrix_strikes_one_class_per_row(self):
+        mask = np.zeros((3, 4))
+        out = update_mask(mask, np.array([1, 3, 0]), eos_class=3)
+        assert np.array_equal(np.isneginf(out), [[0, 1, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
+        assert not mask.any()
+        with pytest.raises(NumericError, match="already"):
+            update_mask(out, np.array([2, 2, 0]), eos_class=3)
+        for bad in (np.array([1, 9, 0]), np.array([1, 2])):
+            with pytest.raises(NumericError):
+                update_mask(out, bad, eos_class=3)
+
 
 class TestEncoder:
     def test_shapes_and_length(self):
@@ -95,11 +106,16 @@ class TestEncodeBatch:
     def test_equals_one_encode_per_document(self):
         m = tiny_model(encoder_layers=2)
         docs = [np.array([2, 3, 4]), np.array([5]), np.array([6, 2, 2, 3, 4, 5, 6]), np.array([4, 4])]
-        for enc, doc in zip(m.encode_batch(np.concatenate(docs), [len(d) for d in docs]), docs):
+        packed = m.encode_batch(np.concatenate(docs), [len(d) for d in docs])
+        assert packed.lengths == [len(d) for d in docs]
+        end = 0
+        for doc in docs:
             alone = m.encode(doc)
-            assert enc.states.shape[0] == alone.states.shape[0] == len(doc)
-            assert np.max(np.abs(enc.states.data - alone.states.data)) <= 1e-12
-            assert np.max(np.abs(enc.proj.data - alone.proj.data)) <= 1e-12
+            start, end = end, end + len(doc)
+            assert alone.states.shape[0] == len(doc) and alone.lengths == [len(doc)]
+            assert np.max(np.abs(packed.states.data[start:end] - alone.states.data)) <= 1e-12
+            assert np.max(np.abs(packed.proj.data[start:end] - alone.proj.data)) <= 1e-12
+        assert end == packed.states.shape[0]
 
     def test_rejects_no_document_and_an_empty_one(self):
         m = tiny_model()

@@ -13,15 +13,15 @@ from seq2label.errors import ConfigError, NumericError, ShapeError
 from seq2label.numerics import (
     RngStream,
     Tensor,
+    attention_head,
     concat,
-    cross_entropy,
     dropout,
+    masked_softmax,
     no_grad,
     sigmoid,
-    softmax,
-    softmax_masked,
     tanh,
 )
+from seq2label.numerics.head import _softmax
 
 
 def numeric_grad(fn, arr, eps=1e-6):
@@ -50,24 +50,52 @@ def check_grads(build, *arrays, tol=1e-6):
         assert np.allclose(got, expect, atol=tol), f"grad mismatch: {got} vs {expect}"
 
 
+def head_arrays(rng, rows=None, doc=4, hidden=3, width=4, attn=3, proj=3, classes=4, scale=1.0):
+    """Random inputs of ``attention_head``: s, states, proj, w_query, v,
+    w_out_state, w_out_context, w_logits (one document per row of s)."""
+    shapes = [(hidden,) if rows is None else (rows, hidden), (doc * (rows or 1), width),
+              (doc * (rows or 1), attn), (hidden, attn), (attn,), (proj, hidden), (proj, width), (classes, proj)]
+    return [rng.normal(size=shape) * scale for shape in shapes]
+
+
+def head_loss(mask, target, weights=None):
+    """build(*tensors) -> scalar: the head's loss for ``target``, plus its
+    context and distribution weighted by ``weights`` when given."""
+
+    def build(*tensors):
+        out, _ = attention_head(*tensors, mask, targets=target)
+        loss = out[..., out.data.shape[-1] - 1]
+        return loss if weights is None else loss + (out[..., :out.data.shape[-1] - 1] * Tensor(weights)).sum()
+
+    return build
+
+
 class TestValues:
     def test_matvec_frozen(self):
         out = Tensor([[1.0, 2.0], [3.0, 4.0]]) @ Tensor([1.0, 1.0])
         assert np.array_equal(out.data, [3.0, 7.0])
 
     def test_masked_softmax_frozen(self):
-        out = softmax_masked(Tensor([1.0, 2.0, 3.0]), np.array([0.0, -np.inf, 0.0]))
-        assert out.data[1] == 0.0
-        assert np.allclose(out.data, [0.119203, 0.0, 0.880797], atol=1e-6)
-        assert math.isclose(out.data.sum(), 1.0, rel_tol=0, abs_tol=1e-12)
+        out = masked_softmax(np.array([1.0, 2.0, 3.0]), np.array([0.0, -np.inf, 0.0]))
+        assert out[1] == 0.0
+        assert np.allclose(out, [0.119203, 0.0, 0.880797], atol=1e-6)
+        assert math.isclose(out.sum(), 1.0, rel_tol=0, abs_tol=1e-12)
 
     def test_uniform_cross_entropy(self):
-        probs = softmax_masked(Tensor(np.zeros(4)), np.zeros(4))
-        assert math.isclose(cross_entropy(probs, 2).item(), math.log(4.0), rel_tol=1e-12)
+        # zero output weights: four equally likely classes
+        arrays = head_arrays(np.random.default_rng(0))
+        arrays[-1][:] = 0.0
+        out, _ = attention_head(*(Tensor(a) for a in arrays), np.zeros(4), targets=2)
+        assert np.array_equal(out.data[4:8], [0.25] * 4)
+        assert math.isclose(out.data[-1], math.log(4.0), rel_tol=1e-12)
 
     def test_half_probability_cross_entropy(self):
-        loss = cross_entropy(Tensor([0.5, 0.5]), 0)
-        assert math.isclose(loss.item(), math.log(2.0), rel_tol=1e-12)
+        # two of the four classes masked: each of the others has probability 1/2
+        arrays = head_arrays(np.random.default_rng(1), rows=2)
+        arrays[-1][:] = 0.0
+        mask = np.array([[0.0, -np.inf, 0.0, -np.inf], [-np.inf, 0.0, -np.inf, 0.0]])
+        out, _ = attention_head(*(Tensor(a) for a in arrays), mask, lengths=[4, 4], targets=[0, 3])
+        assert np.allclose(out.data[:, -1], math.log(2.0), rtol=1e-12, atol=0)
 
     def test_scalar_loss_is_zero_dim(self):
         assert Tensor(np.float64(3.0)).shape == ()
@@ -84,12 +112,12 @@ class TestValues:
             st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda bits: any(bits))
         )
         mask = np.where(mask_bits, 0.0, -np.inf)
-        out = softmax_masked(Tensor(logits), mask)
+        out = masked_softmax(np.array(logits), mask)
         expect = softmax_masked_oracle(logits, list(mask))
-        assert np.allclose(out.data, expect, atol=1e-12)
+        assert np.allclose(out, expect, atol=1e-12)
         for i, keep in enumerate(mask_bits):
             if not keep:
-                assert out.data[i] == 0.0
+                assert out[i] == 0.0
 
 
 class TestGradients:
@@ -157,25 +185,25 @@ class TestGradients:
 
     def test_masked_softmax_cross_entropy_grad(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=5)
         mask = np.array([0.0, -np.inf, 0.0, 0.0, -np.inf])
-        check_grads(lambda t: cross_entropy(softmax_masked(t, mask), 2), x)
+        check_grads(head_loss(mask, 2), *head_arrays(rng, classes=5))
 
     def test_softmax_cross_entropy_grad(self):
-        x = np.random.default_rng(6).normal(size=4)
-        check_grads(lambda t: cross_entropy(softmax(t), 1), x)
+        # every output of the node reaches the loss: context, distribution, loss
+        rng = np.random.default_rng(6)
+        check_grads(head_loss(np.zeros(4), 1, rng.normal(size=8)), *head_arrays(rng))
 
     @given(st.lists(st.floats(-700, 700), min_size=1, max_size=8), st.integers(0, 7))
     @settings(max_examples=50, deadline=None)
     def test_softmax_is_bitwise_masked_softmax_with_nothing_masked(self, logits, target):
-        target %= len(logits)
-        a, b = Tensor(logits, requires_grad=True), Tensor(logits, requires_grad=True)
-        pa, pb = softmax(a), softmax_masked(b, np.zeros(len(logits)))
-        assert pa.data.tobytes() == pb.data.tobytes()
-        if pa.data[target] > 0.0:
-            cross_entropy(pa, target).backward()
-            cross_entropy(pb, target).backward()
-            assert a.grad.tobytes() == b.grad.tobytes()
+        # attention's softmax and the output's masked one share one kernel
+        z = np.array(logits)
+        assert _softmax(z)[0].tobytes() == masked_softmax(z, np.zeros(len(logits))).tobytes()
+        p, top, total = _softmax(z)
+        if p[target % len(logits)] >= np.finfo(float).tiny:  # a subnormal has lost digits
+            log_p = float(np.log(p[target % len(logits)]))
+            log_space = -float(np.log(total[0]) - (z[target % len(logits)] - top[0]))
+            assert math.isclose(log_p, log_space, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_grad_accumulates_across_uses(self):
         x = Tensor([2.0, 3.0], requires_grad=True)
@@ -192,16 +220,38 @@ class TestGradients:
 
 
 class TestIndexing:
-    CASES = [3, slice(1, 4), np.array([4, 0, 4, 2])]
+    CASES = [3, slice(1, 4), np.array([4, 0, 4, 2]), np.array([2, 0, 4, 1, 3])]
 
     @pytest.mark.parametrize("shape", [(5,), (5, 3)])
-    @pytest.mark.parametrize("index", CASES, ids=["int", "slice", "vector"])
+    @pytest.mark.parametrize("index", CASES, ids=["int", "slice", "vector", "permutation"])
     def test_values_and_gradients(self, shape, index):
         rng = np.random.default_rng(7)
         data = rng.normal(size=shape)
         assert np.array_equal(Tensor(data)[index].data, data[index])
         w = rng.normal(size=data[index].shape)
         check_grads(lambda t: (t[index] * Tensor(w)).sum(), data)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 3)])
+    @pytest.mark.parametrize("index", [(..., 2), (..., slice(1, 3))], ids=["int", "slice"])
+    def test_last_axis_values_and_gradients(self, shape, index):
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=shape)
+        assert np.array_equal(Tensor(data)[index].data, data[index])
+        w = rng.normal(size=data[index].shape)
+        check_grads(lambda t: (t[index] * Tensor(w)).sum(), data)
+
+    def test_rejects_bad_last_axis_indices(self):
+        t = Tensor(np.zeros((5, 3)))
+        for index in ((..., 3), (..., -1), (..., np.array([0])), (0, 1), (..., 0, 1)):
+            with pytest.raises(ShapeError):
+                t[index]
+
+    def test_transpose(self):
+        rng = np.random.default_rng(9)
+        m, v = rng.normal(size=(4, 3)), Tensor(rng.normal(size=3))
+        assert np.array_equal(Tensor(m).T.data, m.T) and v.T is v
+        w = rng.normal(size=(3, 4))
+        check_grads(lambda t: (t.T * Tensor(w)).sum(), m)
 
     @pytest.mark.parametrize("shape", [(5,), (5, 3)])
     def test_rejects_bad_indices(self, shape):
@@ -262,24 +312,34 @@ class TestErrors:
 
     def test_masked_softmax_rejects_all_masked(self):
         with pytest.raises(NumericError, match="no unmasked label"):
-            softmax_masked(Tensor([1.0, 2.0]), np.array([-np.inf, -np.inf]))
+            masked_softmax(np.array([1.0, 2.0]), np.array([-np.inf, -np.inf]))
+        arrays = [Tensor(a) for a in head_arrays(np.random.default_rng(0), rows=2)]
+        mask = np.zeros((2, 4))
+        mask[1] = -np.inf
+        with pytest.raises(NumericError, match="no unmasked label"):
+            attention_head(*arrays, mask, lengths=[4, 4])
 
     def test_masked_softmax_rejects_bad_mask_values(self):
         with pytest.raises(NumericError):
-            softmax_masked(Tensor([1.0, 2.0]), np.array([0.0, 0.5]))
+            masked_softmax(np.array([1.0, 2.0]), np.array([0.0, 0.5]))
+        arrays = [Tensor(a) for a in head_arrays(np.random.default_rng(0))]
+        with pytest.raises(NumericError, match="0 or -inf"):
+            attention_head(*arrays, np.array([0.0, 0.5, 0.0, 0.0]))
+        with pytest.raises(ShapeError, match="mask"):
+            attention_head(*arrays, np.zeros(3))
 
     def test_cross_entropy_rejects_masked_target(self):
-        probs = softmax_masked(Tensor([1.0, 2.0, 3.0]), np.array([0.0, -np.inf, 0.0]))
-        with pytest.raises(NumericError, match="masked or zero"):
-            cross_entropy(probs, 1)
-
-    def test_cross_entropy_rejects_unnormalized(self):
-        with pytest.raises(NumericError, match="sum"):
-            cross_entropy(Tensor([0.5, 0.2]), 0)
+        arrays = [Tensor(a) for a in head_arrays(np.random.default_rng(0), rows=2)]
+        mask = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, -np.inf, 0.0, 0.0]])
+        with pytest.raises(NumericError, match="masked"):
+            attention_head(*arrays, mask, lengths=[4, 4], targets=[1, 1])
 
     def test_cross_entropy_rejects_bad_target(self):
+        arrays = [Tensor(a) for a in head_arrays(np.random.default_rng(0))]
         with pytest.raises(ShapeError):
-            cross_entropy(Tensor([0.5, 0.5]), 7)
+            attention_head(*arrays, np.zeros(4), targets=7)
+        with pytest.raises(ShapeError):
+            attention_head(*arrays, np.zeros(4), targets=[1])
 
 
 class TestDropout:

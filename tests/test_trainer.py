@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from reference import graph_sequence_loss
 from seq2label import corpus, synthetic, trainer
 from seq2label.corpus import LabelVocabulary, Vocabulary
 from seq2label.errors import ConfigError, NumericError
 from seq2label.model import ModelConfig, Seq2LabelModel
 from seq2label.numerics import RngStream
-from seq2label.trainer import TrainConfig, fit, sequence_loss, train_epoch
+from seq2label.trainer import TrainConfig, decoder_losses, fit, sequence_loss, train_epoch
 
 
 def zeroed_model(num_labels=3, vocab_size=6, **cfg):
@@ -58,6 +59,31 @@ class TestSequenceLoss:
         lv = toy_data(3)
         loss = sequence_loss(m, np.array([2, 3]), [lv.bos_id, 0, 1, lv.eos_id])
         assert math.isclose(loss.item(), 3 * math.log(4), rel_tol=1e-12)
+
+
+    def test_trains_through_a_target_whose_probability_underflows(self, monkeypatch):
+        # the target's logit sits ~1300 below the others: its probability is
+        # exactly 0.0, but its loss, logsumexp minus its logit, is finite
+        m = zeroed_model(num_labels=3)
+        m.params["dec.l0.b"].data[6:9] = 3.0          # cell block: a nonzero decoder state
+        m.params["out.w_state"].data[:] = np.eye(3)
+        m.params["out.w_logits"].data[0] = -2000.0
+        lv = toy_data(3)
+        framed = [lv.bos_id, 0, lv.eos_id]
+        batch = corpus.make_batches([(np.array([2, 3]), framed)], batch_size=1)[0]
+        _, y, _ = m.decoder_step(m.init_state(), m.encode(np.array([2, 3])))
+        assert y.data[0] == 0.0
+        grads = {}
+        monkeypatch.setattr(
+            trainer, "adam_step", lambda store, *a: grads.update({n: t.grad.copy() for n, t in store.items()})
+        )
+        loss = train_epoch(m, [batch], TrainConfig(), RngStream(0))
+        assert 1000.0 < loss < math.inf
+        assert grads and all(np.all(np.isfinite(g)) for g in grads.values())
+        # a target the mask has struck is still refused
+        repeat = corpus.make_batches([(np.array([2, 3]), [lv.bos_id, 1, 1, lv.eos_id])], batch_size=1)
+        with pytest.raises(NumericError, match="masked"):
+            train_epoch(m, repeat, TrainConfig(), RngStream(0))
 
 
 def build_corpus(records):
@@ -170,8 +196,9 @@ class Replay:
 
 
 class TestBatchEncoding:
-    """``train_epoch`` encodes a batch's documents together; its loss and
-    gradients must equal those of one ``sequence_loss`` per row."""
+    """``train_epoch`` encodes a batch's documents together and decodes them
+    together; its loss and gradients must equal those of one
+    ``sequence_loss`` per row, and those of the per-step graph."""
 
     LENGTHS = [7, 1, 12, 3, 12, 5]
 
@@ -202,14 +229,24 @@ class TestBatchEncoding:
         return train_epoch(m, [batch], TrainConfig(clip_norm=1e12), rng), grads
 
     @staticmethod
-    def per_row(m, framed, rng):
+    def per_row(m, framed, rng, loss_of=None):
+        """(mean loss, gradients) of one document at a time: ``sequence_loss``,
+        or ``loss_of(tokens, framed, rng)``."""
         m.params.zero_grads()
         total = None
         for tokens, seq in framed:
-            loss = sequence_loss(m, tokens, seq, train=True, rng=rng)
+            if loss_of is None:
+                loss = sequence_loss(m, tokens, seq, train=True, rng=rng)
+            else:
+                loss = loss_of(tokens, seq, rng)
             total = loss if total is None else total + loss
         (total * (1.0 / len(framed))).backward()
         return total.item() / len(framed), {n: t.grad.copy() for n, t in m.params.items()}
+
+    @staticmethod
+    def per_step_graph(m):
+        """The per-step graph reference of one document's loss."""
+        return lambda tokens, seq, rng: graph_sequence_loss(m, m.encode(tokens, True, rng).states, seq, True, rng)
 
     @staticmethod
     def assert_close(got, want):
@@ -246,6 +283,24 @@ class TestBatchEncoding:
         got = self.train_batch(m, batch, RngStream(0), monkeypatch)
         self.assert_close(got, self.per_row(m, framed, RngStream(0)))
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("ge_mode", ["off", "gate", "lambda"])
+    def test_matches_the_per_step_graph(self, layers, ge_mode):
+        # each document's loss, and the gradients of their mean, against one
+        # graph of generic ops per document and step
+        m = self.model(layers, ge_mode, 0.0)
+        framed, batch = self.batch(m)
+        enc = m.encode_batch(batch.token_ids, batch.lengths)
+        losses = decoder_losses(m, enc, batch.targets)
+        m.params.zero_grads()
+        (losses.sum() * (1.0 / len(batch))).backward()
+        grads = {n: t.grad.copy() for n, t in m.params.items()}
+        graph = self.per_step_graph(m)
+        ref = [graph(tokens, seq, None).item() for tokens, seq in framed]
+        assert losses.data.shape == (len(framed),)
+        assert np.max(np.abs(losses.data - ref)) <= 1e-12
+        self.assert_close((losses.data.mean(), grads), self.per_row(m, framed, None, graph))
+
     @pytest.mark.parametrize("ge_mode", ["off", "gate"])
     def test_one_layer_dropout_draws_are_unchanged(self, ge_mode, monkeypatch):
         # one (N, k) draw hands out the same numbers as one draw per document
@@ -258,22 +313,27 @@ class TestBatchEncoding:
 
     def test_two_layer_dropout_draw_order(self, monkeypatch):
         # the batch draws the embedding mask for all N rows, then the mask
-        # between encoder layers for all N rows, then each document's
-        # decoder masks in batch order; replaying those draws one document
-        # at a time through sequence_loss gives the same loss and gradients
+        # between encoder layers for all N rows, then at each decoder step
+        # one mask for the documents still running, longest label sequence
+        # first (ties in batch order); replaying those draws one document at
+        # a time through the per-step graph gives the same loss and gradients
         m = self.model(2, "gate", 0.3)
         framed, batch = self.batch(m)
         rec = Recorder(6)
         got = self.train_batch(m, batch, rec, monkeypatch)
         n = sum(self.LENGTHS)
         steps = [len(seq) - 1 for _, seq in framed]
-        assert [d.shape for d in rec.draws] == [(n, 5), (n, 8)] + [(6,)] * sum(steps)
+        order = sorted(range(len(framed)), key=lambda d: -steps[d])
+        running = [sum(k > t for k in steps) for t in range(max(steps))]
+        assert [d.shape for d in rec.draws] == [(n, 5), (n, 8)] + [(b, 6) for b in running]
         embed, between, decoder = rec.draws[0], rec.draws[1], rec.draws[2:]
         per_doc, end = [], 0
-        for length, k in zip(self.LENGTHS, steps):
-            per_doc += [embed[end:end + length], between[end:end + length]] + decoder[:k]
-            decoder, end = decoder[k:], end + length
-        self.assert_close(got, self.per_row(m, framed, Replay(per_doc)))
+        for d, length in enumerate(self.LENGTHS):
+            rank = order.index(d)
+            per_doc += [embed[end:end + length], between[end:end + length]]
+            per_doc += [decoder[t][rank] for t in range(steps[d])]
+            end += length
+        self.assert_close(got, self.per_row(m, framed, Replay(per_doc), self.per_step_graph(m)))
 
 
 class TestFit:
