@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import DecoderState, Seq2LabelModel
+from .model import Seq2LabelModel
 from .numerics import no_grad
 
 
@@ -33,21 +33,19 @@ class Hypothesis:
     """One path of the search.
 
     ``dists`` and ``attns`` hold, for each entry of ``sequence``, the output
-    distribution it was chosen from and the attention row of that step: the
-    decoder's own arrays, not copies.
+    distribution it was chosen from and the attention row of that step:
+    views of the rows the decoder returned, not copies.
     """
 
     sequence: tuple[int, ...]     # emitted classes, terminal id included once finished
     log_prob: float
-    state: DecoderState
     dists: tuple[np.ndarray, ...] = ()
     attns: tuple[np.ndarray, ...] = ()
 
-    def child(self, cls: int, y: np.ndarray, alpha: np.ndarray, state: DecoderState) -> Hypothesis:
+    def child(self, cls: int, y: np.ndarray, alpha: np.ndarray) -> Hypothesis:
         return Hypothesis(
             self.sequence + (cls,),
             self.log_prob + math.log(y[cls]),
-            state,
             self.dists + (y,),
             self.attns + (alpha,),
         )
@@ -63,6 +61,11 @@ class AttentionTrace:
 def _sort_key(h: Hypothesis):
     # deterministic: best log-prob first, then shorter, then lexicographic
     return (-h.log_prob, len(h.sequence), h.sequence)
+
+
+def _rows(t, n: int) -> np.ndarray:
+    """A step's output with one row per hypothesis (a vector is one row)."""
+    return t.data.reshape(n, -1)
 
 
 def decode(
@@ -83,6 +86,11 @@ def decode(
     Two classes of one hypothesis whose probabilities differ but whose scores
     round to the same float go to the more probable class, the one the
     argmax of a greedy step picks.
+
+    The live hypotheses are the rows of one decoder state, so each step
+    (and the close-out) is one ``decoder_step`` over all of them; each row
+    carries exactly the bits of its hypothesis stepped alone. Two children
+    of one hypothesis continue from copies of its row.
     """
     if beam_size < 1:
         raise ConfigError(f"beam_size must be positive, got {beam_size}")
@@ -91,30 +99,45 @@ def decode(
     eos = model.eos_class
     with no_grad():
         enc = model.encode(token_ids)
-        live = [Hypothesis(sequence=(), log_prob=0.0, state=model.init_state())]
+        live = [Hypothesis(sequence=(), log_prob=0.0)]
+        # row i of the state is live[i]; greedy's lone hypothesis is a vector state
+        lone = beam_size == 1
+        state = model.init_state(None if lone else 1)
         finished: list[Hypothesis] = []
         for _ in range(max_steps):
-            children: list[Hypothesis] = []
-            for hyp in live:
-                state, y, alpha = model.decoder_step(hyp.state, enc)
-                p = y.data
-                top = (np.argmax(p),) if beam_size == 1 else np.argsort(-p, kind="stable")[:beam_size]
-                children.extend(hyp.child(int(c), p, alpha.data, state) for c in top if p[c] != 0.0)
-            children.sort(key=_sort_key)
-            live = []
-            for child in children[:beam_size]:
-                if child.sequence[-1] == eos:
+            stepped, y, alpha = model.decoder_step(state, enc)
+            probs, attns = _rows(y, len(live)), _rows(alpha, len(live))
+            if lone:
+                top = probs.argmax(axis=1)[:, None]
+            else:
+                top = (-probs).argsort(axis=1, kind="stable")[:, :beam_size]
+            chosen = probs[np.arange(len(live))[:, None], top]
+            # (the child's _sort_key, its parent's row): only kept children are built
+            children = []
+            for row, (hyp, classes, ps) in enumerate(zip(live, top.tolist(), chosen.tolist())):
+                for c, p in zip(classes, ps):
+                    if p != 0.0:
+                        seq = hyp.sequence + (c,)
+                        children.append(((-(hyp.log_prob + math.log(p)), len(seq), seq), row))
+            children.sort(key=lambda child: child[0])
+            parents, live, rows = live, [], []
+            for (_, _, seq), row in children[:beam_size]:
+                child = parents[row].child(seq[-1], probs[row], attns[row])
+                if seq[-1] == eos:
                     finished.append(child)
                 else:
-                    child.state = model.advance(child.state, child.sequence[-1])
                     live.append(child)
+                    rows.append(row)
+            if live and lone:
+                state = model.advance(stepped, live[0].sequence[-1])
+            elif live:
+                state = model.advance(stepped.take(rows), np.array([h.sequence[-1] for h in live]))
             if len(finished) >= beam_size or not live:
                 break
-        for hyp in live:
-            if close_out:
-                state, y, alpha = model.decoder_step(hyp.state, enc)
-                hyp = hyp.child(eos, y.data, alpha.data, state)
-            finished.append(hyp)
+        if live and close_out:
+            _, y, alpha = model.decoder_step(state, enc)
+            live = [hyp.child(eos, p, a) for hyp, p, a in zip(live, _rows(y, len(live)), _rows(alpha, len(live)))]
+        finished.extend(live)
     return min(finished, key=_sort_key)
 
 

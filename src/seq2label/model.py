@@ -27,7 +27,9 @@ from .numerics import (
     dropout,
     lstm_cell_step,
     lstm_sequence,
+    matvec,
     sigmoid,
+    vecmat,
 )
 
 GE_MODES = ("off", "gate", "lambda")
@@ -77,12 +79,12 @@ class EncoderOutput:
 
 @dataclass
 class DecoderState:
-    """Everything one decoding hypothesis, or a batch of documents decoded
-    together, carries between steps.
+    """Everything one decoding hypothesis, the hypotheses of a search, or a
+    batch of documents decoded together carries between steps.
 
     For one hypothesis every tensor is a vector, ``prev_class`` an int and
-    ``mask`` a vector; for a batch each holds one row per document (a
-    (B, ·) matrix, a (B,) class array, a (B, C) mask).
+    ``mask`` a vector; otherwise each holds one row per hypothesis or
+    document (a (B, ·) matrix, a (B,) class array, a (B, C) mask).
     ``y_prev`` is the full output distribution of the previous step (None
     before the first step); ``prev_class`` is the class actually chosen from
     it. ``context`` is the attention context that produced ``y_prev``; the
@@ -97,16 +99,18 @@ class DecoderState:
     mask: np.ndarray = field(repr=False)
     loss: Tensor | None = None
 
-    def keep(self, n: int) -> DecoderState:
-        """The state of a batch's first ``n`` documents."""
-        if n == len(self.mask):
+    def take(self, rows) -> DecoderState:
+        """The state of the rows at ``rows``, a slice or row indices. Indices
+        may repeat: two children of one hypothesis share its stepped row."""
+        n = len(self.mask)
+        if list(range(n)[rows] if isinstance(rows, slice) else rows) == list(range(n)):
             return self
         return DecoderState(
-            layers=[(h[:n], c[:n]) for h, c in self.layers],
-            context=self.context[:n],
-            y_prev=None if self.y_prev is None else self.y_prev[:n],
-            prev_class=self.prev_class[:n],
-            mask=self.mask[:n],
+            layers=[(h[rows], c[rows]) for h, c in self.layers],
+            context=self.context[rows],
+            y_prev=None if self.y_prev is None else self.y_prev[rows],
+            prev_class=self.prev_class[rows],
+            mask=self.mask[rows],
         )
 
 
@@ -137,9 +141,10 @@ def update_mask(mask: np.ndarray, emitted, eos_class: int) -> np.ndarray:
     return out
 
 
-def _linear(w: Tensor, x: Tensor) -> Tensor:
-    """``w`` applied to a vector, or to each row of a matrix."""
-    return w @ x if x.data.ndim == 1 else x @ w.T
+def _linear(w: Tensor, x: Tensor, rowwise: bool) -> Tensor:
+    """``w`` applied to a vector, or to each row of a matrix: to each row on
+    its own with ``rowwise``, else in one matrix product."""
+    return matvec(w, x) if rowwise else x @ w.T
 
 
 class Seq2LabelModel:
@@ -233,7 +238,7 @@ class Seq2LabelModel:
 
     def init_state(self, batch: int | None = None) -> DecoderState:
         """The state before the first step: of one hypothesis (vectors), or
-        of ``batch`` documents decoded together (one row each)."""
+        of ``batch`` rows (hypotheses or documents) stepped together."""
         cfg = self.config
         rows = () if batch is None else (batch,)
         layers = [
@@ -251,7 +256,8 @@ class Seq2LabelModel:
     def attend(self, s_top: Tensor, enc: EncoderOutput, mask: np.ndarray, targets=None) -> tuple[Tensor, np.ndarray]:
         """Attention of the top decoder state over the encoder states, with
         the output layer, masked softmax and loss on top: one
-        ``attention_head`` node, row b of a batch reading document b of
+        ``attention_head`` node. Every row reads the document of an ``enc``
+        holding one, row by row; otherwise row b reads document b of
         ``enc``. Returns (out, alpha): ``out`` joins [context, y, loss]."""
         p = self.params
         return attention_head(
@@ -259,41 +265,48 @@ class Seq2LabelModel:
             p["out.w_state"], p["out.w_context"], p["out.w_logits"], mask, enc.lengths, targets,
         )
 
-    def input_embedding(self, state: DecoderState) -> Tensor:
+    def input_embedding(self, state: DecoderState, rowwise: bool = True) -> Tensor:
         """Embedding of the previous prediction, per the configured mix mode
-        (of the start marker before the first step)."""
+        (of the start marker before the first step). ``rowwise`` blends each
+        row on its own (see ``global_embedding``)."""
         if state.y_prev is None or self.config.ge_mode == "off":
             return self.params["embed.labels"][state.prev_class]
         if self.config.ge_mode == "gate":
-            return self.global_embedding(state.y_prev, state.prev_class)
-        return self.fixed_lambda_embedding(state.y_prev, state.prev_class)
+            return self.global_embedding(state.y_prev, state.prev_class, rowwise)
+        return self.fixed_lambda_embedding(state.y_prev, state.prev_class, rowwise)
 
-    def global_embedding(self, y_prev: Tensor, prev_class) -> Tensor:
+    def _average_embedding(self, y_prev: Tensor, rowwise: bool) -> Tensor:
+        """Real-label embedding rows averaged under the previous output
+        distribution (the terminal class carries no embedding mass)."""
+        table = self.params["embed.labels"]
+        probs, rows = y_prev[..., :self.num_labels], table[:self.num_labels]
+        return vecmat(probs, rows) if rowwise else probs @ rows
+
+    def global_embedding(self, y_prev: Tensor, prev_class, rowwise: bool = True) -> Tensor:
         """Gated blend of the chosen label's embedding with the expected one.
 
-        The expected embedding averages real-label rows under the previous
-        output distribution (the terminal class carries no embedding mass).
+        With ``rowwise`` each row of a matrix ``y_prev`` blends on its own,
+        with the bits of that row given alone as a vector; otherwise the rows
+        share matrix products.
         """
-        table = self.params["embed.labels"]
-        e = table[prev_class]
-        avg = y_prev[..., :self.num_labels] @ table[:self.num_labels]
-        gate = sigmoid(_linear(self.params["ge.w_choice"], e) + _linear(self.params["ge.w_average"], avg))
+        e = self.params["embed.labels"][prev_class]
+        avg = self._average_embedding(y_prev, rowwise)
+        gate = sigmoid(_linear(self.params["ge.w_choice"], e, rowwise)
+                       + _linear(self.params["ge.w_average"], avg, rowwise))
         one = Tensor(np.ones(e.data.shape))
         return ((one - gate) * e) + (gate * avg)
 
-    def fixed_lambda_embedding(self, y_prev: Tensor, prev_class) -> Tensor:
+    def fixed_lambda_embedding(self, y_prev: Tensor, prev_class, rowwise: bool = True) -> Tensor:
         """Like global_embedding but with a constant blend weight.
 
         At lambda 0 the chosen embedding is returned as-is, bypassing the
         blend arithmetic, so results match ge_mode "off" bit for bit.
         """
-        table = self.params["embed.labels"]
-        e = table[prev_class]
+        e = self.params["embed.labels"][prev_class]
         lam = self.config.ge_lambda
         if lam == 0.0:
             return e
-        avg = y_prev[..., :self.num_labels] @ table[:self.num_labels]
-        return (e * (1.0 - lam)) + (avg * lam)
+        return (e * (1.0 - lam)) + (self._average_embedding(y_prev, rowwise) * lam)
 
     def decoder_step(
         self,
@@ -308,19 +321,24 @@ class Seq2LabelModel:
         The recurrence consumes the previous step's attention context; a fresh
         context is computed from the new top state and feeds the output layer.
         The caller picks a class from the probabilities and commits it with
-        ``advance`` before stepping again. A batch's state steps its B rows
-        together, row b attending over document b of ``enc`` (the attention
-        weights are then each document's, end to end); given ``targets``
-        (one class per row), ``next_state.loss`` holds each row's loss.
+        ``advance`` before stepping again. A state of B rows steps them
+        together. When ``enc`` holds one document, the rows are hypotheses
+        over it (a search's live ones): each row is computed on its own,
+        with exactly the bits of that hypothesis stepped alone as vectors.
+        Otherwise row b is document b of ``enc`` and the rows share matrix
+        products (the attention weights are then each document's, end to
+        end). Given ``targets`` (one class per row), ``next_state.loss``
+        holds each row's loss.
         """
         cfg = self.config
         p = self.params
         mode = "train" if train else "eval"
-        x = concat([self.input_embedding(state), state.context])
+        rowwise = state.mask.ndim == 1 or len(enc.lengths) == 1
+        x = concat([self.input_embedding(state, rowwise), state.context])
         new_layers = []
         for layer in range(cfg.decoder_layers):
             weights = (p[f"dec.l{layer}.{w}"] for w in ("wx", "wh", "b"))
-            h, c = lstm_cell_step(x, state.layers[layer], *weights)
+            h, c = lstm_cell_step(x, state.layers[layer], *weights, rowwise=rowwise)
             new_layers.append((h, c))
             x = dropout(h, cfg.dropout, mode, rng) if layer + 1 < cfg.decoder_layers else h
         out, alpha = self.attend(new_layers[-1][0], enc, state.mask, targets)
@@ -337,7 +355,7 @@ class Seq2LabelModel:
         return next_state, y, Tensor(alpha)
 
     def advance(self, state: DecoderState, emitted) -> DecoderState:
-        """Commit a chosen class (one per row of a batch): record it and
-        strike it from the mask."""
+        """Commit a chosen class (one per row): record it and strike it from
+        the mask."""
         mask = update_mask(state.mask, emitted, self.eos_class) if self.config.use_mask else state.mask.copy()
         return replace(state, prev_class=emitted, mask=mask)

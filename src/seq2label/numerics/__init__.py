@@ -9,9 +9,11 @@ from .tensor import (
     Tensor,
     concat,
     dropout,
+    matvec,
     no_grad,
     sigmoid,
     tanh,
+    vecmat,
 )
 
 __all__ = [
@@ -28,7 +30,9 @@ __all__ = [
     "lstm_cell_step",
     "lstm_sequence",
     "masked_softmax",
+    "matvec",
     "no_grad",
     "sigmoid",
     "tanh",
+    "vecmat",
 ]

@@ -11,9 +11,12 @@ For a top decoder state s the node computes
 
 The loss is taken in log space, so a legal target whose probability
 underflows to 0.0 in ``y`` still has a finite loss and gradient. ``s`` is a
-vector (one document, the decoding path: the expressions above, in this
-order, on vectors) or a (B, H) matrix whose row b attends over document b of
-the documents laid end to end in ``states``. Backward is written by hand.
+vector over one document (the expressions above, in this order, on
+vectors); a (k, H) matrix of hypotheses over one document, each row with
+exactly those expressions (one gemv per row, ``_vecmat``/``_matvec``); or a
+(B, H) matrix whose row b attends over document b of the documents laid
+end to end in ``states``, the rows sharing matrix products. Backward is
+written by hand.
 """
 
 from __future__ import annotations
@@ -21,7 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericError, ShapeError
-from .tensor import Tensor, _accum, _node
+from .tensor import Tensor, _accum, _matvec, _node, _vecmat
+
+# The attention of rows over one shared document holds a (rows, m, A) tanh
+# block; it is built this many elements at a time (2 MiB), so a wide beam
+# over a long document does not grow it without bound.
+HEAD_BLOCK = 262_144
 
 
 def _softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -73,6 +81,13 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray, targets=None):
     return y, (np.log(total) - (np.take_along_axis(z, tgt[..., None], -1) - top))[..., 0]
 
 
+def _blocks(rows: int, per_row: int) -> list[slice]:
+    """Consecutive row ranges covering ``rows`` rows of ``per_row`` elements
+    each, at most ``HEAD_BLOCK`` elements per range (one row at least)."""
+    step = max(1, HEAD_BLOCK // per_row)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
 def attention_head(
     s: Tensor,
     states: Tensor,
@@ -89,34 +104,43 @@ def attention_head(
     """Attention, output layer, masked softmax and loss for each row of ``s``.
 
     ``states`` (N, 2E) and ``proj`` (N, A) hold documents of ``lengths`` rows
-    laid end to end (one document of N rows by default); row b of ``s``
-    attends over document b, and documents past the last row of ``s`` are
-    not read. ``mask`` has one row of 0/-inf entries per row of ``s``, over
-    the C output classes. ``targets`` (an int per row) adds the loss.
+    laid end to end (one document of N rows by default). When they hold one
+    document, every row of ``s`` attends over it, each row with exactly the
+    arithmetic of that row given alone as a vector (the hypotheses of a
+    search); otherwise row b of ``s`` attends over document b, and
+    documents past the last row of ``s`` are not read. ``mask`` has one row
+    of 0/-inf entries per row of ``s``, over the C output classes.
+    ``targets`` (an int per row) adds the loss.
 
     Returns ``(out, alpha)``: ``out`` joins [context (2E), y (C), loss (1,
     with targets only)] along its last axis, one row per row of ``s``, and
-    is read out by indexing; ``alpha`` holds the attention weights (a
-    vector for one document, else each document's weights end to end) and
-    carries no gradient.
+    is read out by indexing; ``alpha`` holds the attention weights (a row
+    per row of ``s`` over the one document, else each document's weights
+    end to end) and carries no gradient.
     """
     sd, st, pj = s.data, states.data, proj.data
     if sd.ndim not in (1, 2) or sd.shape[0] == 0 or st.ndim != 2 or pj.ndim != 2 or pj.shape[0] != st.shape[0]:
         raise ShapeError(f"attention_head expects s (H,) or (B, H) and (N, ·) states and projections, "
                          f"got {sd.shape}, {st.shape}, {pj.shape}")
     rows = 1 if sd.ndim == 1 else sd.shape[0]
-    lens = [st.shape[0]] if lengths is None else lengths[:rows]
+    shared = sd.ndim == 1 or lengths is None or len(lengths) == 1
+    lens = [st.shape[0] if lengths is None else lengths[0]] if shared else lengths[:rows]
     m = sum(lens)
-    if len(lens) != rows or min(lens) < 1 or m > st.shape[0]:
+    if (not shared and len(lens) != rows) or min(lens) < 1 or m > st.shape[0]:
         raise ShapeError(f"lengths {lengths!r} do not cover {rows} documents of the {st.shape[0]} state rows")
     st, pj = st[:m], pj[:m]
-    if sd.ndim == 1:
-        th = np.tanh(pj + (sd @ w_query.data))
-        alpha = _softmax(th @ v.data)[0]
-        ctx = alpha @ st
-        hidden = np.tanh((w_out_state.data @ sd) + (w_out_context.data @ ctx))
-        logits = w_logits.data @ hidden
-        owner = seg = None  # built by backward, when a gradient is asked for
+    if shared:
+        # one gemv per row (``_vecmat``/``_matvec``, ``th @ v`` per row):
+        # for a vector these are the plain expressions
+        q = _vecmat(sd, w_query.data)
+        blocks = _blocks(rows, pj.size)
+        if len(blocks) == 1:
+            alpha = _softmax(np.tanh(pj + q[..., None, :]) @ v.data)[0]
+        else:
+            alpha = np.concatenate([_softmax(np.tanh(pj + q[b, None, :]) @ v.data)[0] for b in blocks])
+        ctx = _vecmat(alpha, st)
+        hidden = np.tanh(_matvec(w_out_state.data, sd) + _matvec(w_out_context.data, ctx))
+        logits = _matvec(w_logits.data, hidden)
     else:
         starts = np.cumsum(lens) - lens
         owner, seg = _segments(lens)
@@ -138,10 +162,7 @@ def attention_head(
 
     def bw(g, s=s, states=states, proj=proj, w_query=w_query, v=v,
            w_out_state=w_out_state, w_out_context=w_out_context, w_logits=w_logits):
-        nonlocal owner, seg
-        if seg is None:
-            owner, seg = _segments(lens)
-        # the vector case is the (1, ·) one
+        # a vector is the one-row case
         g = g.reshape(rows, -1)
         s2, ctx2, hid2, y2 = (a.reshape(rows, -1) for a in (sd, ctx, hidden, y))
         width = ctx2.shape[1]
@@ -156,13 +177,28 @@ def attention_head(
         _accum(w_out_state, du.T @ s2)
         _accum(w_out_context, du.T @ ctx2)
         d_ctx = g_ctx + du @ w_out_context.data
-        _accum(states, (seg * alpha).T @ d_ctx, slice(0, m))
-        d_alpha = (d_ctx @ st.T)[owner, np.arange(m)]
-        d_scores = alpha * (d_alpha - (seg @ (alpha * d_alpha))[owner])
-        _accum(v, th.T @ d_scores)
-        d_pre = np.outer(d_scores, v.data) * (1.0 - th * th)
-        _accum(proj, d_pre, slice(0, m))
-        d_query = seg @ d_pre
+        if shared:
+            a2 = alpha.reshape(rows, m)
+            _accum(states, a2.T @ d_ctx, slice(0, m))
+            d_alpha = d_ctx @ st.T
+            d_scores = a2 * (d_alpha - (a2 * d_alpha).sum(axis=1, keepdims=True))
+            q2 = q.reshape(rows, -1)
+            d_query, g_v, g_proj = np.empty(q2.shape), np.zeros(v.data.shape), np.zeros(pj.shape)
+            for block in blocks:
+                t = np.tanh(pj + q2[block, None, :])
+                g_v += np.tensordot(d_scores[block], t, axes=2)
+                d_pre = d_scores[block, :, None] * v.data * (1.0 - t * t)
+                g_proj += d_pre.sum(axis=0)
+                d_query[block] = d_pre.sum(axis=1)
+        else:
+            _accum(states, (seg * alpha).T @ d_ctx, slice(0, m))
+            d_alpha = (d_ctx @ st.T)[owner, np.arange(m)]
+            d_scores = alpha * (d_alpha - (seg @ (alpha * d_alpha))[owner])
+            g_v = th.T @ d_scores
+            g_proj = np.outer(d_scores, v.data) * (1.0 - th * th)
+            d_query = seg @ g_proj
+        _accum(v, g_v)
+        _accum(proj, g_proj, slice(0, m))
         _accum(w_query, s2.T @ d_query)
         _accum(s, ((du @ w_out_state.data) + (d_query @ w_query.data.T)).reshape(sd.shape))
 

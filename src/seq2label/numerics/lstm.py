@@ -1,6 +1,7 @@
 """LSTM recurrence: a fused op over whole sequences (one document, or a
-batch of documents packed time-major), a single cell step (one document, or
-one row per document), and the parameter initializer.
+batch of documents packed time-major), a single cell step (one document,
+one row per document, or one row per hypothesis stepped row by row), and
+the parameter initializer.
 
 Weight layout: wx is (input_dim, 4H), wh is (H, 4H), b is (4H,), with the four
 gate blocks ordered input, forget, cell, output. Both ops share one step
@@ -16,7 +17,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from .params import ParameterStore
-from .tensor import Tensor, _accum, _node, logistic
+from .tensor import Tensor, _accum, _node, _vecmat, logistic
 
 
 def _check_weights(input_dim: int, hidden: int, wx: Tensor, wh: Tensor, b: Tensor) -> None:
@@ -182,12 +183,16 @@ def lstm_cell_step(
     wx: Tensor,
     wh: Tensor,
     b: Tensor,
+    rowwise: bool = False,
 ) -> tuple[Tensor, Tensor]:
     """Advance an LSTM cell one step; returns (h', c').
 
     ``x``, ``h`` and ``c`` are vectors, or (B, ·) matrices holding one
-    document per row. Records one graph node holding h' and c' joined along
-    the first axis, and one indexing node reading out each half.
+    document per row. With ``rowwise`` each row's products are taken on
+    their own, so a row steps with exactly the bits of that row stepped as
+    a vector; otherwise a matrix's rows share one matrix product. Records
+    one graph node holding h' and c' joined along the first axis, and one
+    indexing node reading out each half.
     """
     h, c = state
     xd, hd = x.data, h.data
@@ -198,7 +203,8 @@ def lstm_cell_step(
     n, hidden = hd.shape[0], hd.shape[-1]
     act, tanh_c = np.empty(hd.shape[:-1] + (4 * hidden,)), np.empty(hd.shape)
     cell = np.empty((2 * n,) + hd.shape[1:])
-    _step((xd @ wx.data) + (hd @ wh.data) + b.data, c.data, act, cell[n:], tanh_c, cell[:n])
+    pre = (_vecmat(xd, wx.data) + _vecmat(hd, wh.data)) if rowwise else ((xd @ wx.data) + (hd @ wh.data))
+    _step(pre + b.data, c.data, act, cell[n:], tanh_c, cell[:n])
 
     def bw(g, x=x, h=h, c=c, wx=wx, wh=wh, b=b):
         d_pre, dc = np.empty(act.shape), g[n:].copy()

@@ -187,7 +187,7 @@ class Tensor:
         shape = self.data.shape
         if len(shape) not in (1, 2):
             raise ShapeError(f"indexing expects a vector or matrix, got shape {shape}")
-        axis, key, inverse = shape[0], index, None
+        axis, key = shape[0], index
         if isinstance(index, tuple):
             if len(index) != 2 or index[0] is not Ellipsis or not isinstance(index[1], (int, np.integer, slice)):
                 raise ShapeError(f"a tuple index must be (..., int or slice), got {index!r}")
@@ -201,22 +201,22 @@ class Tensor:
             if idx.ndim != 1 or bad:
                 raise ShapeError(f"index array must be an integer vector within range for shape {shape}")
             index = idx.astype(np.int64, copy=False)
-            if idx.size == shape[0] and idx.size and np.bincount(index, minlength=idx.size).max() == 1:
-                # a permutation of every row: its gradient is a gather, not a scatter-add
-                inverse = np.argsort(index)
 
         def bw(g, x=self, index=index):
             # add into the gradient buffer itself: no table-sized temporary
             if x.grad is None:
                 x.grad = np.zeros(shape)
-            if inverse is not None:
-                x.grad += g[inverse]
-            elif isinstance(index, np.ndarray):
-                np.add.at(x.grad, index, g)
-            else:
+            if not isinstance(index, np.ndarray):
                 x.grad[index] += g
+            elif index.size == shape[0] and index.size and np.bincount(index, minlength=index.size).max() == 1:
+                # a permutation of every row: its gradient is a gather, not a scatter-add
+                x.grad += g[np.argsort(index)]
+            else:
+                np.add.at(x.grad, index, g)
 
-        return _node(self.data[index].copy(), (self,), bw)
+        out = self.data[index]
+        # an index array gathers a fresh array; ints and slices give views
+        return _node(out if isinstance(index, np.ndarray) else out.copy(), (self,), bw)
 
     @property
     def T(self) -> "Tensor":
@@ -251,6 +251,52 @@ def _accum(t: Tensor, g: np.ndarray, at=...) -> None:
         if t.grad is None:
             t.grad = np.zeros(t.data.shape)
         t.grad[at] += g
+
+
+# -- row-by-row products ---------------------------------------------------------
+#
+# numpy's stacked matmul, (k, 1, D) @ (D, O) or (O, D) @ (k, D, 1), runs one
+# vector-matrix product per row, so each row's result has exactly the bits of
+# that row multiplied on its own. A (k, D) @ (D, O) gemm does not: its rows
+# can differ from the lone products in the last bits.
+
+
+def _vecmat(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a vector ``x``, or for each row of a matrix ``x`` alone."""
+    return x @ w if x.ndim == 1 else np.matmul(x[:, None, :], w)[:, 0, :]
+
+
+def _matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w @ x`` for a vector ``x``, or for each row of a matrix ``x`` alone."""
+    return w @ x if x.ndim == 1 else np.matmul(w, x[:, :, None])[:, :, 0]
+
+
+def _check_rows(x: Tensor, w: Tensor, dim: int, what: str) -> None:
+    if x.data.ndim not in (1, 2) or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[dim]:
+        raise ShapeError(f"{what} expects a vector or matrix and a matching matrix, "
+                         f"got {x.data.shape} and {w.data.shape}")
+
+
+def vecmat(x: Tensor, w: Tensor) -> Tensor:
+    """``x @ w`` with each row of ``x`` multiplied on its own (a vector is one row)."""
+    _check_rows(x, w, 0, "vecmat")
+
+    def bw(g, x=x, w=w):
+        _accum(x, g @ w.data.T)
+        _accum(w, x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+
+    return _node(_vecmat(x.data, w.data), (x, w), bw)
+
+
+def matvec(w: Tensor, x: Tensor) -> Tensor:
+    """``w`` applied to each row of ``x`` on its own (a vector is one row)."""
+    _check_rows(x, w, 1, "matvec")
+
+    def bw(g, x=x, w=w):
+        _accum(x, g @ w.data)
+        _accum(w, g.reshape(-1, g.shape[-1]).T @ x.data.reshape(-1, x.data.shape[-1]))
+
+    return _node(_matvec(w.data, x.data), (x, w), bw)
 
 
 # -- elementwise nonlinearities ------------------------------------------------

@@ -93,7 +93,7 @@ def decoder_losses(
     for t in range(steps[order[0]]):
         running = [d for d in order if steps[d] > t]
         classes = np.array([targets[d][t + 1] for d in running], dtype=np.int64)
-        state, _, _ = model.decoder_step(state.keep(len(running)), enc, train, rng, classes)
+        state, _, _ = model.decoder_step(state.take(slice(len(running))), enc, train, rng, classes)
         losses.append(state.loss)
         owners += running
         state = model.advance(state, classes)

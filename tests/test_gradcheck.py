@@ -14,6 +14,7 @@ from seq2label.numerics import (
     sigmoid,
     tanh,
 )
+from seq2label.numerics import head
 from seq2label.numerics.tensor import _node
 from seq2label.trainer import decoder_losses
 
@@ -83,11 +84,17 @@ def test_deterministic_given_rng_seed():
     assert a == b
 
 
-@pytest.mark.parametrize("lengths", [None, [2, 5, 3]], ids=["one-document", "batch"])
-def test_attention_head_gradients(lengths):
-    # a vector state over one document, or one row per document of a batch
-    # whose states hold a further, finished document the rows do not read
-    rows = None if lengths is None else len(lengths)
+@pytest.mark.parametrize(
+    "rows, lengths, block",
+    [(None, None, None), (3, None, None), (3, None, 1), (3, [2, 5, 3], None)],
+    ids=["one-document", "hypotheses", "hypotheses-in-blocks", "batch"],
+)
+def test_attention_head_gradients(rows, lengths, block, monkeypatch):
+    # a vector state over one document; three hypotheses over one document,
+    # together or a row at a time; or one row per document of a batch whose
+    # states hold a further, finished document the rows do not read
+    if block is not None:
+        monkeypatch.setattr(head, "HEAD_BLOCK", block)
     n = 4 if lengths is None else sum(lengths) + 2
     hidden, width, attn, proj, classes = 3, 4, 3, 3, 5
     shapes = {
@@ -107,7 +114,7 @@ def test_attention_head_gradients(lengths):
         return (out * Tensor(weights)).sum()
 
     assert finite_difference_check(loss, store, samples_per_param=10**9) < 1e-6
-    if rows is not None:
+    if lengths is not None:
         assert not store["states"].grad[-2:].any() and not store["proj"].grad[-2:].any()
 
 

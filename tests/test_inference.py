@@ -38,27 +38,45 @@ def random_model(seed, num_labels=None, use_mask=True):
     return model, tokens
 
 
+class Prefixes(tuple):
+    """Stacked state of ``ScriptedDecoder``: one emitted prefix per row."""
+
+    def take(self, rows):
+        return Prefixes(self[r] for r in rows)
+
+
 class ScriptedDecoder:
     """Stands in for a model: the output distribution is looked up by the
-    classes emitted so far (terminal class only for unlisted prefixes)."""
+    classes emitted so far (``default``, else the terminal class alone, for
+    unlisted prefixes). Like the model, it steps one hypothesis (a bare
+    prefix, as the oracles do) or a stack of them (``Prefixes``, one per
+    row, as ``decode`` does), and counts its steps."""
 
     num_labels = 4
     eos_class = 4
 
-    def __init__(self, table):
+    def __init__(self, table, default=None):
         self.table = {k: np.array(v) / sum(v) for k, v in table.items()}
+        terminal = np.eye(self.num_labels + 1)[self.eos_class]
+        self.default = terminal if default is None else np.array(default) / sum(default)
+        self.steps = 0
 
     def encode(self, token_ids):
         return None
 
-    def init_state(self):
-        return ()
+    def init_state(self, batch=None):
+        return () if batch is None else Prefixes([()] * batch)
 
     def decoder_step(self, state, enc):
-        y = self.table.get(state, np.eye(self.num_labels + 1)[self.eos_class])
-        return state, Tensor(y), Tensor(np.ones(1))
+        self.steps += 1
+        if isinstance(state, Prefixes):
+            y = np.stack([self.table.get(prefix, self.default) for prefix in state])
+            return state, Tensor(y), Tensor(np.ones((len(state), 1)))
+        return state, Tensor(self.table.get(state, self.default)), Tensor(np.ones(1))
 
     def advance(self, state, cls):
+        if isinstance(state, Prefixes):
+            return Prefixes(prefix + (int(c),) for prefix, c in zip(state, cls))
         return state + (cls,)
 
 
@@ -118,6 +136,15 @@ class TestAgainstOracles:
         assert want[0] == [0, 4]
         assert beam_search(model, None, 2, 5) == want
         assert predict_set(model, None, 2, 5) == ([0], want[1])
+
+    def test_one_decoder_step_per_search_step(self):
+        # past the first step the terminal class never ranks among the best
+        # five children, so the pool never fills and the search runs all 8
+        # steps and closes out: 9 steps, however many hypotheses each one
+        # carries (a call per hypothesis would make 1 + 7 * 5 + 5 = 41)
+        model = ScriptedDecoder({}, default=[1.0, 0.9, 0.8, 0.7, 1e-9])
+        beam_search(model, None, 5, 8)
+        assert model.steps == 9
 
     def test_step_record_covers_close_out(self):
         closed = 0

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 import seq2label.model as model_mod
+import seq2label.numerics.head as head_mod
 from seq2label.errors import ConfigError, NumericError
 from seq2label.model import DecoderState, ModelConfig, Seq2LabelModel, update_mask
 from seq2label.numerics import RngStream, Tensor
@@ -290,3 +291,77 @@ class TestPreviousLabelModes:
         b = self.drive(tiny_model(ge_mode="gate"), [1, 0])
         assert np.array_equal(a[0], b[0])
         assert not np.array_equal(a[1], b[1])
+
+
+def _assert_rows_equal(stepped, y, alpha, lones):
+    """Row i of a stacked step has the bits of lone step ``lones[i]``."""
+    for row, (lone, ly, la) in enumerate(lones):
+        assert np.array_equal(y.data[row], ly.data)
+        assert np.array_equal(alpha.data[row], la.data)
+        assert np.array_equal(stepped.context.data[row], lone.context.data)
+        for (h, c), (lh, lc) in zip(stepped.layers, lone.layers):
+            assert np.array_equal(h.data[row], lh.data)
+            assert np.array_equal(c.data[row], lc.data)
+
+
+class TestStackedHypotheses:
+    """Hypotheses stacked as the rows of one state, over one document, step
+    with exactly the bits of each hypothesis stepped alone."""
+
+    @pytest.mark.parametrize("use_mask", [True, False], ids=["mask", "no-mask"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("ge_mode", ["off", "gate", "lambda"])
+    def test_each_row_equals_its_lone_hypothesis(self, ge_mode, layers, use_mask):
+        m = Seq2LabelModel(
+            ModelConfig(embed_size=16, encoder_hidden=24, decoder_hidden=32, decoder_layers=layers,
+                        ge_mode=ge_mode, use_mask=use_mask),
+            vocab_size=30, num_labels=9, rng=RngStream(layers),
+        )
+        enc = m.encode(np.random.default_rng(0).integers(2, 30, size=23))
+        rng = np.random.default_rng(1)
+        stack, lones = m.init_state(1), [m.init_state()]
+        # each step's parents by row: two children of one parent, then rows
+        # whose masks and previous classes differ
+        for parents in ([0, 0], [1, 0, 1], [2, 0, 1, 1, 2], [4, 3, 0]):
+            stepped, y, alpha = m.decoder_step(stack, enc)
+            lone_steps = [m.decoder_step(s, enc) for s in lones]
+            _assert_rows_equal(stepped, y, alpha, lone_steps)
+            classes = []
+            for row in parents:
+                allowed = np.flatnonzero(lone_steps[row][0].mask[:m.num_labels] == 0.0)
+                classes.append(int(rng.choice([c for c in allowed if c not in classes] or allowed)))
+            stack = m.advance(stepped.take(parents), np.array(classes))
+            lones = [m.advance(lone_steps[row][0], c) for row, c in zip(parents, classes)]
+        _assert_rows_equal(*m.decoder_step(stack, enc), [m.decoder_step(s, enc) for s in lones])
+
+    def test_take_gathers_rows_with_repeats(self):
+        m = tiny_model(num_labels=4)
+        state = m.advance(m.decoder_step(m.init_state(3), m.encode(np.array([2, 3])))[0], np.array([0, 1, 4]))
+        taken = state.take([2, 2, 0])
+        assert np.array_equal(taken.prev_class, [4, 4, 0])
+        assert np.array_equal(taken.mask, state.mask[[2, 2, 0]])
+        assert np.array_equal(taken.layers[0][0].data, state.layers[0][0].data[[2, 2, 0]])
+        assert np.array_equal(taken.y_prev.data, state.y_prev.data[[2, 2, 0]])
+        assert state.take([0, 1, 2]) is state and state.take(slice(3)) is state
+
+    def test_wide_stack_in_blocks_equals_one_block(self, monkeypatch):
+        # 7 rows over a 23-row document, the tanh block held to two rows at a time
+        m = Seq2LabelModel(ModelConfig(embed_size=8, encoder_hidden=8, decoder_hidden=8),
+                           vocab_size=30, num_labels=9, rng=RngStream(3))
+        enc = m.encode(np.random.default_rng(2).integers(2, 30, size=23))
+        state = m.advance(m.decoder_step(m.init_state(7), enc)[0], np.arange(7))
+        one_block = m.decoder_step(state, enc)
+        monkeypatch.setattr(head_mod, "HEAD_BLOCK", 2 * enc.proj.data.size)
+        assert len(head_mod._blocks(7, enc.proj.data.size)) == 4
+        blocked = m.decoder_step(state, enc)
+        for a, b in zip(one_block[1:], blocked[1:]):
+            assert np.array_equal(a.data, b.data)
+        assert np.array_equal(one_block[0].context.data, blocked[0].context.data)
+
+    def test_blocks_hold_the_tanh_under_the_budget(self):
+        # 1,000 hypotheses over a 500-token document at the default sizes
+        per_row = 500 * 64
+        blocks = head_mod._blocks(1000, per_row)
+        assert all((b.stop - b.start) * per_row <= head_mod.HEAD_BLOCK for b in blocks)
+        assert blocks[0].start == 0 and blocks[-1].stop >= 1000
+        assert head_mod._blocks(3, 10 * head_mod.HEAD_BLOCK) == [slice(0, 1), slice(1, 2), slice(2, 3)]

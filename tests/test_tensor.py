@@ -17,11 +17,14 @@ from seq2label.numerics import (
     concat,
     dropout,
     masked_softmax,
+    matvec,
     no_grad,
     sigmoid,
     tanh,
+    vecmat,
 )
 from seq2label.numerics.head import _softmax
+from seq2label.numerics.tensor import _matvec, _vecmat
 
 
 def numeric_grad(fn, arr, eps=1e-6):
@@ -142,6 +145,13 @@ class TestGradients:
         check_grads(lambda a, b: (a @ b).sum(), v3, m)
         check_grads(lambda a, b: a @ b, v4, v4.copy())
 
+    def test_row_products(self):
+        rng = np.random.default_rng(7)
+        w = rng.normal(size=(4, 3))
+        for x in (rng.normal(size=4), rng.normal(size=(5, 4))):
+            check_grads(lambda a, b: tanh(vecmat(a, b)).sum(), x, w)
+            check_grads(lambda a, b: tanh(matvec(b, a)).sum(), x[..., :3].copy(), w)
+
     def test_nonlinearities(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=5)
@@ -217,6 +227,39 @@ class TestGradients:
             y = y * 1.0
         y.sum().backward()
         assert np.array_equal(x.grad, [1.0, 1.0])
+
+
+class TestRowByRowProducts:
+    # The stacked hypotheses of a search reproduce each lone hypothesis bit
+    # for bit only because numpy's stacked matmul forms run one gemv per row
+    # and row-wise reductions equal the 1-D ones. A numpy or BLAS upgrade that
+    # changes matmul's dispatch fails here first.
+    ASSUMPTION = ("numpy assumption broken: a stacked product no longer equals the lone "
+                  "vector products bit for bit, so stacked beam hypotheses would drift from lone ones")
+
+    def test_stacked_forms_equal_lone_products_at_model_shapes(self):
+        rng = np.random.default_rng(8)
+        # (inner, outer) of the default model's products: decoder input and
+        # recurrence of either layer, attention query, output layer, logits
+        # and label averages at 55 and 104 classes, and the 2E context
+        shapes = [(192, 256), (64, 256), (64, 64), (128, 64), (64, 55), (64, 104), (54, 64), (103, 64)]
+        for k in (1, 2, 5, 8):
+            for inner, outer in shapes:
+                x, w = rng.normal(size=(k, inner)), rng.normal(size=(inner, outer))
+                assert np.array_equal(_vecmat(x, w), np.stack([r @ w for r in x])), (self.ASSUMPTION, k, inner, outer)
+                assert np.array_equal(_matvec(w.T.copy(), x), np.stack([w.T.copy() @ r for r in x])), \
+                    (self.ASSUMPTION, k, outer, inner)
+            for m in (1, 7, 40, 161, 500):
+                th, v, states = rng.normal(size=(k, m, 64)), rng.normal(size=64), rng.normal(size=(m, 128))
+                alpha = rng.random(size=(k, m))
+                assert np.array_equal(th @ v, np.stack([t @ v for t in th])), (self.ASSUMPTION, k, m)
+                assert np.array_equal(_vecmat(alpha, states), np.stack([a @ states for a in alpha])), \
+                    (self.ASSUMPTION, k, m)
+                assert np.array_equal(_softmax(alpha)[0], np.stack([_softmax(a)[0] for a in alpha])), \
+                    (self.ASSUMPTION, k, m)
+        x, w = rng.normal(size=192), rng.normal(size=(192, 256))
+        assert np.array_equal(_vecmat(x, w), x @ w) and np.array_equal(_matvec(w.T.copy(), x), w.T.copy() @ x), \
+            self.ASSUMPTION
 
 
 class TestIndexing:
