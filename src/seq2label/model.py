@@ -84,7 +84,8 @@ class DecoderState:
 
     For one hypothesis every tensor is a vector, ``prev_class`` an int and
     ``mask`` a vector; otherwise each holds one row per hypothesis or
-    document (a (B, ·) matrix, a (B,) class array, a (B, C) mask).
+    document (a (B, ·) matrix, a (B,) class array, a (B, C) mask), each
+    row multiplied on its own (see ``decoder_step``).
     ``y_prev`` is the full output distribution of the previous step (None
     before the first step); ``prev_class`` is the class actually chosen from
     it. ``context`` is the attention context that produced ``y_prev``; the
@@ -139,12 +140,6 @@ def update_mask(mask: np.ndarray, emitted, eos_class: int) -> np.ndarray:
         raise NumericError(f"a class of {emitted} was already emitted")
     out[rows, cls[rows]] = -np.inf
     return out
-
-
-def _linear(w: Tensor, x: Tensor, rowwise: bool) -> Tensor:
-    """``w`` applied to a vector, or to each row of a matrix: to each row on
-    its own with ``rowwise``, else in one matrix product."""
-    return matvec(w, x) if rowwise else x @ w.T
 
 
 class Seq2LabelModel:
@@ -265,38 +260,33 @@ class Seq2LabelModel:
             p["out.w_state"], p["out.w_context"], p["out.w_logits"], mask, enc.lengths, targets,
         )
 
-    def input_embedding(self, state: DecoderState, rowwise: bool = True) -> Tensor:
+    def input_embedding(self, state: DecoderState) -> Tensor:
         """Embedding of the previous prediction, per the configured mix mode
-        (of the start marker before the first step). ``rowwise`` blends each
-        row on its own (see ``global_embedding``)."""
+        (of the start marker before the first step)."""
         if state.y_prev is None or self.config.ge_mode == "off":
             return self.params["embed.labels"][state.prev_class]
         if self.config.ge_mode == "gate":
-            return self.global_embedding(state.y_prev, state.prev_class, rowwise)
-        return self.fixed_lambda_embedding(state.y_prev, state.prev_class, rowwise)
+            return self.global_embedding(state.y_prev, state.prev_class)
+        return self.fixed_lambda_embedding(state.y_prev, state.prev_class)
 
-    def _average_embedding(self, y_prev: Tensor, rowwise: bool) -> Tensor:
+    def _average_embedding(self, y_prev: Tensor) -> Tensor:
         """Real-label embedding rows averaged under the previous output
         distribution (the terminal class carries no embedding mass)."""
-        table = self.params["embed.labels"]
-        probs, rows = y_prev[..., :self.num_labels], table[:self.num_labels]
-        return vecmat(probs, rows) if rowwise else probs @ rows
+        return vecmat(y_prev[..., :self.num_labels], self.params["embed.labels"][:self.num_labels])
 
-    def global_embedding(self, y_prev: Tensor, prev_class, rowwise: bool = True) -> Tensor:
+    def global_embedding(self, y_prev: Tensor, prev_class) -> Tensor:
         """Gated blend of the chosen label's embedding with the expected one.
 
-        With ``rowwise`` each row of a matrix ``y_prev`` blends on its own,
-        with the bits of that row given alone as a vector; otherwise the rows
-        share matrix products.
+        Each row of a matrix ``y_prev`` blends on its own, with the bits of
+        that row given alone as a vector.
         """
         e = self.params["embed.labels"][prev_class]
-        avg = self._average_embedding(y_prev, rowwise)
-        gate = sigmoid(_linear(self.params["ge.w_choice"], e, rowwise)
-                       + _linear(self.params["ge.w_average"], avg, rowwise))
+        avg = self._average_embedding(y_prev)
+        gate = sigmoid(matvec(self.params["ge.w_choice"], e) + matvec(self.params["ge.w_average"], avg))
         one = Tensor(np.ones(e.data.shape))
         return ((one - gate) * e) + (gate * avg)
 
-    def fixed_lambda_embedding(self, y_prev: Tensor, prev_class, rowwise: bool = True) -> Tensor:
+    def fixed_lambda_embedding(self, y_prev: Tensor, prev_class) -> Tensor:
         """Like global_embedding but with a constant blend weight.
 
         At lambda 0 the chosen embedding is returned as-is, bypassing the
@@ -306,7 +296,7 @@ class Seq2LabelModel:
         lam = self.config.ge_lambda
         if lam == 0.0:
             return e
-        return (e * (1.0 - lam)) + (self._average_embedding(y_prev, rowwise) * lam)
+        return (e * (1.0 - lam)) + (self._average_embedding(y_prev) * lam)
 
     def decoder_step(
         self,
@@ -322,23 +312,23 @@ class Seq2LabelModel:
         context is computed from the new top state and feeds the output layer.
         The caller picks a class from the probabilities and commits it with
         ``advance`` before stepping again. A state of B rows steps them
-        together. When ``enc`` holds one document, the rows are hypotheses
-        over it (a search's live ones): each row is computed on its own,
-        with exactly the bits of that hypothesis stepped alone as vectors.
-        Otherwise row b is document b of ``enc`` and the rows share matrix
-        products (the attention weights are then each document's, end to
+        together, every product of the blend, the recurrence and the output
+        layer taken row by row, with the bits of that row stepped alone as
+        vectors. Only the attention depends on ``enc``: when it holds one
+        document, the rows are hypotheses over it (a search's live ones),
+        each attending as it would alone; otherwise row b is document b of
+        ``enc`` (the attention weights are then each document's, end to
         end). Given ``targets`` (one class per row), ``next_state.loss``
         holds each row's loss.
         """
         cfg = self.config
         p = self.params
         mode = "train" if train else "eval"
-        rowwise = state.mask.ndim == 1 or len(enc.lengths) == 1
-        x = concat([self.input_embedding(state, rowwise), state.context])
+        x = concat([self.input_embedding(state), state.context])
         new_layers = []
         for layer in range(cfg.decoder_layers):
             weights = (p[f"dec.l{layer}.{w}"] for w in ("wx", "wh", "b"))
-            h, c = lstm_cell_step(x, state.layers[layer], *weights, rowwise=rowwise)
+            h, c = lstm_cell_step(x, state.layers[layer], *weights)
             new_layers.append((h, c))
             x = dropout(h, cfg.dropout, mode, rng) if layer + 1 < cfg.decoder_layers else h
         out, alpha = self.attend(new_layers[-1][0], enc, state.mask, targets)

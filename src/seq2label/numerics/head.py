@@ -11,12 +11,13 @@ For a top decoder state s the node computes
 
 The loss is taken in log space, so a legal target whose probability
 underflows to 0.0 in ``y`` still has a finite loss and gradient. ``s`` is a
-vector over one document (the expressions above, in this order, on
-vectors); a (k, H) matrix of hypotheses over one document, each row with
-exactly those expressions (one gemv per row, ``_vecmat``/``_matvec``); or a
-(B, H) matrix whose row b attends over document b of the documents laid
-end to end in ``states``, the rows sharing matrix products. Backward is
-written by hand.
+vector (the expressions above, in this order) or a matrix of rows, each
+row's own products (query, output layer, logits) one gemv per row
+(``_vecmat``/``_matvec``) with the bits of that row given alone. Only the
+attention depends on the layout: rows over one document (a search's
+hypotheses) each take the expressions above, while row b of a batch
+attends over document b of the documents laid end to end in ``states``.
+Backward is written by hand.
 """
 
 from __future__ import annotations
@@ -129,28 +130,27 @@ def attention_head(
     if (not shared and len(lens) != rows) or min(lens) < 1 or m > st.shape[0]:
         raise ShapeError(f"lengths {lengths!r} do not cover {rows} documents of the {st.shape[0]} state rows")
     st, pj = st[:m], pj[:m]
+    # every product of a row's own values is one gemv per row
+    # (``_vecmat``/``_matvec``): for a vector these are the plain expressions
+    q = _vecmat(sd, w_query.data)
     if shared:
-        # one gemv per row (``_vecmat``/``_matvec``, ``th @ v`` per row):
-        # for a vector these are the plain expressions
-        q = _vecmat(sd, w_query.data)
+        # ``th @ v`` is one gemv per row too
         blocks = _blocks(rows, pj.size)
         if len(blocks) == 1:
             alpha = _softmax(np.tanh(pj + q[..., None, :]) @ v.data)[0]
         else:
             alpha = np.concatenate([_softmax(np.tanh(pj + q[b, None, :]) @ v.data)[0] for b in blocks])
         ctx = _vecmat(alpha, st)
-        hidden = np.tanh(_matvec(w_out_state.data, sd) + _matvec(w_out_context.data, ctx))
-        logits = _matvec(w_logits.data, hidden)
     else:
         starts = np.cumsum(lens) - lens
         owner, seg = _segments(lens)
-        th = np.tanh(pj + (sd @ w_query.data)[owner])
+        th = np.tanh(pj + q[owner])
         scores = th @ v.data
         e = np.exp(scores - np.maximum.reduceat(scores, starts)[owner])
         alpha = e / np.add.reduceat(e, starts)[owner]
         ctx = (seg * alpha) @ st
-        hidden = np.tanh((sd @ w_out_state.data.T) + (ctx @ w_out_context.data.T))
-        logits = hidden @ w_logits.data.T
+    hidden = np.tanh(_matvec(w_out_state.data, sd) + _matvec(w_out_context.data, ctx))
+    logits = _matvec(w_logits.data, hidden)
     tgt = None if targets is None else np.asarray(targets)
     if tgt is None:
         y = masked_softmax(logits, mask)

@@ -1,6 +1,6 @@
 """LSTM recurrence: a fused op over whole sequences (one document, or a
-batch of documents packed time-major), a single cell step (one document,
-one row per document, or one row per hypothesis stepped row by row), and
+batch of documents packed time-major), a single cell step (a vector, or
+a block of rows, documents or hypotheses, each stepped on its own), and
 the parameter initializer.
 
 Weight layout: wx is (input_dim, 4H), wh is (H, 4H), b is (4H,), with the four
@@ -183,16 +183,14 @@ def lstm_cell_step(
     wx: Tensor,
     wh: Tensor,
     b: Tensor,
-    rowwise: bool = False,
 ) -> tuple[Tensor, Tensor]:
     """Advance an LSTM cell one step; returns (h', c').
 
-    ``x``, ``h`` and ``c`` are vectors, or (B, ·) matrices holding one
-    document per row. With ``rowwise`` each row's products are taken on
-    their own, so a row steps with exactly the bits of that row stepped as
-    a vector; otherwise a matrix's rows share one matrix product. Records
-    one graph node holding h' and c' joined along the first axis, and one
-    indexing node reading out each half.
+    ``x``, ``h`` and ``c`` are vectors, or (B, ·) matrices with one row per
+    document or hypothesis. Each row's products are taken on their own
+    (``_vecmat``), so a row steps with exactly the bits of that row stepped
+    as a vector. Records one graph node holding h' and c' joined along the
+    first axis, and one indexing node reading out each half.
     """
     h, c = state
     xd, hd = x.data, h.data
@@ -203,7 +201,7 @@ def lstm_cell_step(
     n, hidden = hd.shape[0], hd.shape[-1]
     act, tanh_c = np.empty(hd.shape[:-1] + (4 * hidden,)), np.empty(hd.shape)
     cell = np.empty((2 * n,) + hd.shape[1:])
-    pre = (_vecmat(xd, wx.data) + _vecmat(hd, wh.data)) if rowwise else ((xd @ wx.data) + (hd @ wh.data))
+    pre = _vecmat(xd, wx.data) + _vecmat(hd, wh.data)
     _step(pre + b.data, c.data, act, cell[n:], tanh_c, cell[:n])
 
     def bw(g, x=x, h=h, c=c, wx=wx, wh=wh, b=b):

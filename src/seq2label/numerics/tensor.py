@@ -218,17 +218,6 @@ class Tensor:
         # an index array gathers a fresh array; ints and slices give views
         return _node(out if isinstance(index, np.ndarray) else out.copy(), (self,), bw)
 
-    @property
-    def T(self) -> "Tensor":
-        """The transpose of a matrix; a vector is its own transpose."""
-        if self.data.ndim < 2:
-            return self
-
-        def bw(g, x=self):
-            _accum(x, g.T)
-
-        return _node(self.data.T.copy(), (self,), bw)
-
     def sum(self) -> "Tensor":
         def bw(g, x=self):
             _accum(x, np.full(x.data.shape, float(g)))

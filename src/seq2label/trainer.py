@@ -123,14 +123,24 @@ def _backward_batch(model: Seq2LabelModel, batch: Batch, bi: int, rng: RngStream
 def train_epoch(
     model: Seq2LabelModel, batches: list[Batch], config: TrainConfig, rng: RngStream
 ) -> float:
-    """One pass over the batches; returns the mean per-example loss."""
+    """One pass over the batches; returns the mean per-example loss.
+
+    A floating-point overflow or invalid operation anywhere in a batch's
+    forward, backward, clipping or Adam update is a diverging run: it raises
+    NumericError naming the batch (``clip_gradients`` keeps its own
+    deliberate overflow of a sum of squares).
+    """
     total = 0.0
     count = 0
     for bi, batch in enumerate(batches):
         model.params.zero_grads()
-        total += _backward_batch(model, batch, bi, rng)
-        clip_gradients(model.params, config.clip_norm)
-        adam_step(model.params, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                total += _backward_batch(model, batch, bi, rng)
+                clip_gradients(model.params, config.clip_norm)
+                adam_step(model.params, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+        except FloatingPointError as e:
+            raise NumericError(f"{e} in batch {bi}") from None
         count += len(batch)
     return total / count
 

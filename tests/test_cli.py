@@ -428,6 +428,22 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in err
 
+    def test_overflowing_training_exits_three_without_a_checkpoint(self, tmp_path, capsys):
+        # a step this large overflows the weights in the first batch; the run
+        # stops there instead of training on and writing a checkpoint
+        train, ckpt = str(tmp_path / "t.jsonl"), tmp_path / "m.ckpt"
+        write_jsonl(train, synthetic.memorization_corpus(0)[:6])
+        code, _, err = run(
+            ["train", "--train", train, "--checkpoint", str(ckpt), "--learning-rate", "1e300",
+             "--clip-norm", "1e30", "--epochs", "4", "--embed-size", "8", "--encoder-hidden", "8",
+             "--decoder-hidden", "8"],
+            capsys,
+        )
+        assert code == 3
+        assert "error:" in err and "overflow" in err and "batch 0" in err
+        assert "Traceback" not in err
+        assert not ckpt.exists()
+
 
 class TestCheckpointErrors:
     """A checkpoint that cannot be used is a data problem: exit 2, no traceback."""

@@ -334,6 +334,27 @@ class TestStackedHypotheses:
             lones = [m.advance(lone_steps[row][0], c) for row, c in zip(parents, classes)]
         _assert_rows_equal(*m.decoder_step(stack, enc), [m.decoder_step(s, enc) for s in lones])
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("ge_mode", ["off", "gate", "lambda"])
+    def test_batch_rows_step_like_their_lone_documents(self, ge_mode, layers):
+        # the documents of a training batch multiply row by row too: at the
+        # first teacher-forced step (which reads no encoder state) each
+        # document's recurrence has the bits of its lone vector step
+        m = Seq2LabelModel(
+            ModelConfig(embed_size=16, encoder_hidden=24, decoder_hidden=32, decoder_layers=layers,
+                        ge_mode=ge_mode),
+            vocab_size=30, num_labels=9, rng=RngStream(layers),
+        )
+        gen = np.random.default_rng(3)
+        docs = [gen.integers(2, 30, size=n) for n in (23, 11)]
+        enc = m.encode_batch(np.concatenate(docs), [len(d) for d in docs])
+        stepped = m.decoder_step(m.init_state(len(docs)), enc, targets=np.array([4, 0]))[0]
+        for row, doc in enumerate(docs):
+            lone = m.decoder_step(m.init_state(), m.encode(doc))[0]
+            for (h, c), (lh, lc) in zip(stepped.layers, lone.layers):
+                assert np.array_equal(h.data[row], lh.data)
+                assert np.array_equal(c.data[row], lc.data)
+
     def test_take_gathers_rows_with_repeats(self):
         m = tiny_model(num_labels=4)
         state = m.advance(m.decoder_step(m.init_state(3), m.encode(np.array([2, 3])))[0], np.array([0, 1, 4]))

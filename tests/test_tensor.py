@@ -289,13 +289,6 @@ class TestIndexing:
             with pytest.raises(ShapeError):
                 t[index]
 
-    def test_transpose(self):
-        rng = np.random.default_rng(9)
-        m, v = rng.normal(size=(4, 3)), Tensor(rng.normal(size=3))
-        assert np.array_equal(Tensor(m).T.data, m.T) and v.T is v
-        w = rng.normal(size=(3, 4))
-        check_grads(lambda t: (t.T * Tensor(w)).sum(), m)
-
     @pytest.mark.parametrize("shape", [(5,), (5, 3)])
     def test_rejects_bad_indices(self, shape):
         t = Tensor(np.zeros(shape))
