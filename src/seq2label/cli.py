@@ -177,7 +177,7 @@ def _check_outputs(cfg: RunConfig, names: list[str], inputs: list[str], derived=
     seen: dict[str, str] = {}
     for name in [*inputs, "config"]:
         path = getattr(cfg, name)
-        if path and not _is_stream(path):
+        if path and not corpus.is_stream(path):
             seen[os.path.realpath(path)] = _flag(name)
     for label, path in [(_flag(name), getattr(cfg, name)) for name in names] + list(derived):
         if not path:
@@ -187,17 +187,12 @@ def _check_outputs(cfg: RunConfig, names: list[str], inputs: list[str], derived=
             raise DataError(f"cannot write {path}: no directory {folder}")
         if os.path.isdir(path):
             raise DataError(f"cannot write {path}: it is a directory")
-        if _is_stream(path):
+        if corpus.is_stream(path):
             continue
         real = os.path.realpath(path)
         if real in seen:
             raise DataError(f"{seen[real]} and {label} name the same file {path}")
         seen[real] = label
-
-
-def _is_stream(path: str) -> bool:
-    """An existing path that is not a regular file, such as /dev/stdout."""
-    return os.path.exists(path) and not os.path.isfile(path)
 
 
 def _load_records(path: str, require_labels: bool = True) -> list[dict]:

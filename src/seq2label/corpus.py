@@ -28,23 +28,31 @@ UNK_ID = 1
 _STRIP = string.punctuation
 
 
+def is_stream(path: str) -> bool:
+    """An existing path that is not a regular file, such as /dev/stdout: an
+    output written directly, not replaced."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
 @contextmanager
 def atomic_output(path: str, binary: bool = False):
     """A file (UTF-8 text, or bytes with ``binary``) that appears at ``path``
     only when the block completes.
 
-    It is written to a hidden file beside the target and moved over it at
-    the end, so a failure partway leaves no partial output (and an existing
-    file as it was). A path that exists and is not a regular file, such as
-    /dev/stdout, is written directly.
+    It is written to a hidden file beside the target, named afresh for each
+    call, and moved over it at the end, so a failure partway leaves no
+    partial output (and an existing file as it was). A stream is written
+    directly.
     """
     mode, encoding = ("b", None) if binary else ("", "utf-8")
-    if os.path.exists(path) and not os.path.isfile(path):
+    if is_stream(path):
         with open(path, "w" + mode, encoding=encoding) as f:
             yield f
         return
     folder, name = os.path.split(os.path.realpath(path))  # replace a symlink's target, not the link
-    tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+    # a random name, so a file left by a killed run whose pid this run reuses cannot block it;
+    # open's "x" keeps the umask's permissions where mkstemp would make it 0600
+    tmp = os.path.join(folder, f".{name}.{os.urandom(8).hex()}.tmp")
     f = open(tmp, "x" + mode, encoding=encoding)
     try:
         with f:
@@ -65,21 +73,55 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-class Vocabulary:
+# a tab splits a vocabulary line; str.splitlines also ends a line at each of the rest
+_LINE_BREAK = re.compile(r"[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+class _NameTable:
+    """Distinct one-line names with their training-set counts, the names
+    taking ids from ``first_id`` in list order, stored as ``name<TAB>count``
+    lines."""
+
+    kind: str  # "token" or "label", for error messages
+    first_id = 0
+
+    def __init__(self, names: list[str], freqs: list[int]):
+        if len(names) != len(freqs):
+            raise DataError(f"{self.kind} and frequency lists differ in length")
+        # refuse a name that would not survive to_text then from_text
+        if _LINE_BREAK.search("".join(names)):  # one scan over up to 50,000 tokens
+            bad = next(name for name in names if _LINE_BREAK.search(name))
+            raise DataError(f"{self.kind} {bad!r} contains a tab or a line break")
+        self._names = list(names)
+        self._freqs = list(freqs)
+        self._ids = {name: i + self.first_id for i, name in enumerate(names)}
+        if len(self._ids) != len(names):
+            raise DataError(f"duplicate {self.kind} in vocabulary")
+
+    def to_text(self) -> str:
+        return "".join(f"{name}\t{freq}\n" for name, freq in zip(self._names, self._freqs))
+
+    @classmethod
+    def from_text(cls, text: str):
+        return cls(*_parse_tsv(text.splitlines()))
+
+    def save(self, path: str) -> None:
+        with atomic_output(path) as f:
+            f.write(self.to_text())
+
+    @classmethod
+    def load(cls, path: str):
+        return cls(*_parse_tsv(_text_lines(path)))
+
+
+class Vocabulary(_NameTable):
     """Token <-> id map with reserved padding (0) and unknown (1) slots."""
 
-    def __init__(self, tokens: list[str], freqs: list[int]):
-        if len(tokens) != len(freqs):
-            raise DataError("token and frequency lists differ in length")
-        _check_one_line(tokens, "token")
-        self._tokens = list(tokens)
-        self._freqs = list(freqs)
-        self._ids = {tok: i + 2 for i, tok in enumerate(tokens)}
-        if len(self._ids) != len(tokens):
-            raise DataError("duplicate token in vocabulary")
+    kind = "token"
+    first_id = 2
 
     def __len__(self) -> int:
-        return len(self._tokens) + 2
+        return len(self._names) + 2
 
     def id_of(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
@@ -89,36 +131,10 @@ class Vocabulary:
             return "<pad>"
         if idx == UNK_ID:
             return "<unk>"
-        return self._tokens[idx - 2]
-
-    def to_text(self) -> str:
-        return "".join(f"{tok}\t{freq}\n" for tok, freq in zip(self._tokens, self._freqs))
-
-    @classmethod
-    def from_text(cls, text: str) -> "Vocabulary":
-        return cls(*_parse_tsv(text.splitlines()))
-
-    def save(self, path: str) -> None:
-        with atomic_output(path) as f:
-            f.write(self.to_text())
-
-    @classmethod
-    def load(cls, path: str) -> "Vocabulary":
-        return cls(*_parse_tsv(_text_lines(path)))
+        return self._names[idx - 2]
 
 
-# a tab splits a vocabulary line; str.splitlines also ends a line at each of the rest
-_LINE_BREAK = re.compile(r"[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-
-
-def _check_one_line(names: list[str], kind: str) -> None:
-    """Refuse a name that would not survive ``to_text`` then ``from_text``."""
-    if _LINE_BREAK.search("".join(names)):  # one scan over up to 50,000 tokens
-        bad = next(name for name in names if _LINE_BREAK.search(name))
-        raise DataError(f"{kind} {bad!r} contains a tab or a line break")
-
-
-class LabelVocabulary:
+class LabelVocabulary(_NameTable):
     """Label <-> id map ordered by descending frequency.
 
     Real labels get ids 0..L-1. The decoder's output space appends a terminal
@@ -126,29 +142,24 @@ class LabelVocabulary:
     never appears in outputs.
     """
 
+    kind = "label"
+
     def __init__(self, labels: list[str], freqs: list[int]):
-        if len(labels) != len(freqs):
-            raise DataError("label and frequency lists differ in length")
+        super().__init__(labels, freqs)
         if not labels:
             raise DataError("label vocabulary is empty")
-        _check_one_line(labels, "label")
-        self._labels = list(labels)
-        self._freqs = list(freqs)
-        self._ids = {lab: i for i, lab in enumerate(labels)}
-        if len(self._ids) != len(labels):
-            raise DataError("duplicate label in vocabulary")
 
     def __len__(self) -> int:
         """Number of real labels."""
-        return len(self._labels)
+        return len(self._names)
 
     @property
     def eos_id(self) -> int:
-        return len(self._labels)
+        return len(self._names)
 
     @property
     def bos_id(self) -> int:
-        return len(self._labels) + 1
+        return len(self._names) + 1
 
     def id_of(self, label: str) -> int:
         if label not in self._ids:
@@ -156,27 +167,12 @@ class LabelVocabulary:
         return self._ids[label]
 
     def label_of(self, idx: int) -> str:
-        if not 0 <= idx < len(self._labels):
+        if not 0 <= idx < len(self._names):
             raise DataError(f"label id {idx} out of range")
-        return self._labels[idx]
+        return self._names[idx]
 
     def freq_of(self, idx: int) -> int:
         return self._freqs[idx]
-
-    def to_text(self) -> str:
-        return "".join(f"{lab}\t{freq}\n" for lab, freq in zip(self._labels, self._freqs))
-
-    @classmethod
-    def from_text(cls, text: str) -> "LabelVocabulary":
-        return cls(*_parse_tsv(text.splitlines()))
-
-    def save(self, path: str) -> None:
-        with atomic_output(path) as f:
-            f.write(self.to_text())
-
-    @classmethod
-    def load(cls, path: str) -> "LabelVocabulary":
-        return cls(*_parse_tsv(_text_lines(path)))
 
 
 def _text_lines(path: str):

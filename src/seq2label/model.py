@@ -116,29 +116,25 @@ class DecoderState:
 
 
 def update_mask(mask: np.ndarray, emitted, eos_class: int) -> np.ndarray:
-    """Return a copy of ``mask`` with ``emitted`` struck out: one class for a
-    vector mask, one class per row of a matrix.
+    """Return a copy of ``mask`` with ``emitted`` struck out, one class per
+    row: an array of one class per row of a matrix, or one class for a vector,
+    which is one row.
 
     Emitting the terminal class changes nothing. Striking an entry twice means
     the caller ignored the mask, so that is an error rather than a no-op.
     """
     out = mask.copy()
-    if mask.ndim == 1:
-        if emitted == eos_class:
-            return out
-        if not 0 <= emitted < mask.shape[0]:
-            raise NumericError(f"emitted class {emitted} out of range for mask of {mask.shape[0]}")
-        if mask[emitted] == -np.inf:
-            raise NumericError(f"class {emitted} was already emitted")
-        out[emitted] = -np.inf
-        return out
-    cls = np.asarray(emitted)
-    if cls.shape != mask.shape[:1] or np.any((cls < 0) | (cls >= mask.shape[1])):
+    if getattr(emitted, "shape", ()) != mask.shape[:-1]:
         raise NumericError(f"emitted classes {emitted} do not fit a mask of shape {mask.shape}")
-    rows = np.nonzero(cls != eos_class)[0]
-    if np.any(out[rows, cls[rows]] == -np.inf):
-        raise NumericError(f"a class of {emitted} was already emitted")
-    out[rows, cls[rows]] = -np.inf
+    # a vector is one row as it stands: reshaping it would cost more than its strike
+    for row, cls in ((out, emitted),) if mask.ndim == 1 else zip(out, emitted.tolist()):
+        if cls == eos_class:
+            continue
+        if not 0 <= cls < len(row):
+            raise NumericError(f"emitted class {cls} out of range for mask of {len(row)}")
+        if row[cls] == -np.inf:
+            raise NumericError(f"class {cls} was already emitted")
+        row[cls] = -np.inf
     return out
 
 

@@ -1,5 +1,8 @@
 """Dataset handling: vocabularies, label ordering, framing, batching."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +38,21 @@ class TestTokenize:
         assert tokenize("a -- b ...") == ["a", "b"]
 
 
+class TestNameTable:
+    """The checks both vocabularies share."""
+
+    @pytest.mark.parametrize("cls", [Vocabulary, LabelVocabulary])
+    def test_rejects_duplicates(self, cls):
+        with pytest.raises(DataError, match="duplicate"):
+            cls(["a", "a"], [1, 1])
+
+    @pytest.mark.parametrize("cls, kind", [(Vocabulary, "token"), (LabelVocabulary, "label")])
+    @pytest.mark.parametrize("names, freqs", [(["a", "b"], [1]), (["a"], [1, 1]), ([], [1])])
+    def test_rejects_lists_of_different_lengths(self, cls, kind, names, freqs):
+        with pytest.raises(DataError, match=f"{kind} and frequency lists differ in length"):
+            cls(names, freqs)
+
+
 class TestVocabulary:
     def test_reserved_ids(self):
         v = Vocabulary(["the", "cat"], [10, 5])
@@ -49,10 +67,7 @@ class TestVocabulary:
         v.save(str(path))
         v2 = Vocabulary.load(str(path))
         assert v2.id_of("a") == v.id_of("a") and v2.id_of("b") == v.id_of("b")
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(DataError):
-            Vocabulary(["a", "a"], [1, 1])
+        assert v2.to_text() == v.to_text() == "a\t3\nb\t1\n"
 
     def test_rejects_every_line_break(self):
         # a token str.splitlines breaks would not survive a checkpoint's from_text
@@ -68,6 +83,10 @@ class TestLabelVocabulary:
         assert [lv.id_of(l) for l in "xyz"] == [0, 1, 2]
         assert lv.eos_id == 3 and lv.bos_id == 4
         assert len(lv) == 3
+
+    def test_rejects_empty(self):
+        with pytest.raises(DataError, match="empty"):
+            LabelVocabulary([], [])
 
     def test_unknown_label_raises(self):
         lv = LabelVocabulary(["x"], [1])
@@ -92,6 +111,27 @@ class TestLabelVocabulary:
         lv = LabelVocabulary(["x", "y"], [9, 2])
         lv2 = LabelVocabulary.from_text(lv.to_text())
         assert lv2.id_of("y") == 1 and lv2.freq_of(0) == 9
+
+
+class TestAtomicOutput:
+    def test_temp_file_left_by_a_killed_run_does_not_block(self, tmp_path):
+        # a killed run with this process's pid left its temp file behind
+        stale = tmp_path / f".out.txt.{os.getpid()}.tmp"
+        stale.write_text("partial")
+        path = tmp_path / "out.txt"
+        with corpus.atomic_output(str(path)) as f:
+            f.write("whole")
+        assert path.read_text() == "whole" and stale.read_text() == "partial"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "out.txt"]
+
+    def test_output_has_the_umask_permissions(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            with corpus.atomic_output(str(tmp_path / "out.txt")) as f:
+                f.write("whole")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == 0o644
 
 
 class TestBuildVocab:

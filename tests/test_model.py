@@ -64,9 +64,15 @@ class TestMask:
         assert not mask.any()
         with pytest.raises(NumericError, match="already"):
             update_mask(out, np.array([2, 2, 0]), eos_class=3)
-        for bad in (np.array([1, 9, 0]), np.array([1, 2])):
+        for bad in (np.array([1, 9, 0]), np.array([1, 2]), np.array([[1], [2], [0]])):
             with pytest.raises(NumericError):
                 update_mask(out, bad, eos_class=3)
+
+    def test_one_row_stack_strikes_like_the_vector(self):
+        vector = np.array([0.0, -np.inf, 0.0, 0.0])
+        for cls in (0, 2, 3):
+            stack = update_mask(vector[None], np.array([cls]), eos_class=3)
+            assert np.array_equal(stack, update_mask(vector, cls, eos_class=3)[None])
 
 
 class TestEncoder:
