@@ -154,6 +154,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"beam must be at least 1, got {cfg.beam}")
     if cfg.max_steps is not None and cfg.max_steps < 1:
         raise ConfigError(f"max_steps must be at least 1, got {cfg.max_steps}")
+    for name in ("max_len", "vocab_size"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be at least 1, got {getattr(cfg, name)}")
     return cfg
 
 

@@ -274,18 +274,14 @@ def build_vocab(records: list[dict], max_size: int = 50000) -> tuple[Vocabulary,
     if max_size < 1:
         raise DataError(f"vocabulary size must be positive, got {max_size}")
     tok_counts: Counter[str] = Counter()
-    tok_first: dict[str, int] = {}
     lab_counts: Counter[str] = Counter()
-    lab_first: dict[str, int] = {}
     for rec in records:
-        for tok in tokenize(rec["text"]):
-            tok_counts[tok] += 1
-            tok_first.setdefault(tok, len(tok_first))
-        for lab in rec["labels"]:
-            lab_counts[lab] += 1
-            lab_first.setdefault(lab, len(lab_first))
-    tokens = sorted(tok_counts, key=lambda t: (-tok_counts[t], tok_first[t]))[:max_size]
-    labels = sorted(lab_counts, key=lambda l: (-lab_counts[l], lab_first[l]))
+        tok_counts.update(tokenize(rec["text"]))
+        lab_counts.update(rec["labels"])
+    # most_common is a stable sort on the count, so equal counts keep the
+    # order in which Counter first saw them
+    tokens = [t for t, _ in tok_counts.most_common(max_size)]
+    labels = [l for l, _ in lab_counts.most_common()]
     return (
         Vocabulary(tokens, [tok_counts[t] for t in tokens]),
         LabelVocabulary(labels, [lab_counts[l] for l in labels]),
@@ -306,6 +302,8 @@ def encode_text(text: str, vocab: Vocabulary, max_len: int = 500) -> np.ndarray:
 def encode_examples(
     records: list[dict], vocab: Vocabulary, label_vocab: LabelVocabulary, max_len: int = 500
 ) -> list[Example]:
+    if max_len < 1:
+        raise DataError(f"max_len must be positive, got {max_len}")
     out = []
     for i, rec in enumerate(records, start=1):
         try:

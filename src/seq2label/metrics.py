@@ -8,20 +8,6 @@ from .errors import DataError
 
 
 @dataclass
-class ConfusionTotals:
-    """Pooled true/false positive and false negative counts."""
-
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-
-    def add(self, true_set: set[int], pred_set: set[int]) -> None:
-        self.tp += len(true_set & pred_set)
-        self.fp += len(pred_set - true_set)
-        self.fn += len(true_set - pred_set)
-
-
-@dataclass
 class MetricsReport:
     hamming_loss: float
     micro_precision: float
@@ -71,11 +57,11 @@ def micro_prf(pairs: list[tuple[set[int], set[int]]]) -> tuple[float, float, flo
     """
     if not pairs:
         raise DataError("cannot score an empty dataset")
-    totals = ConfusionTotals()
-    for true_set, pred_set in pairs:
-        totals.add(true_set, pred_set)
-    precision = _ratio(totals.tp, totals.tp + totals.fp)
-    recall = _ratio(totals.tp, totals.tp + totals.fn)
+    tp = sum(len(true_set & pred_set) for true_set, pred_set in pairs)
+    fp = sum(len(pred_set - true_set) for true_set, pred_set in pairs)
+    fn = sum(len(true_set - pred_set) for true_set, pred_set in pairs)
+    precision = _ratio(tp, tp + fp)
+    recall = _ratio(tp, tp + fn)
     f1 = _ratio(2 * precision * recall, precision + recall)
     return precision, recall, f1
 

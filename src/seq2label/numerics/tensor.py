@@ -93,18 +93,15 @@ class Tensor:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Tensor") -> "Tensor":
+        """Equal shapes, or a matrix plus a vector added to each of its rows."""
         a, b = self.data, other.data
-        if a.shape == b.shape:
-            def bw(g, a=self, b=other):
-                _accum(a, g)
-                _accum(b, g)
-        elif a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-            # matrix + row-broadcast vector
-            def bw(g, a=self, b=other):
-                _accum(a, g)
-                _accum(b, g.sum(axis=0))
-        else:
+        if a.shape != b.shape and not (a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]):
             raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
+
+        def bw(g, x=self, y=other):
+            _accum(x, g)
+            _accum(y, g if g.shape == y.data.shape else g.sum(axis=0))
+
         return _node(a + b, (self, other), bw)
 
     def __sub__(self, other: "Tensor") -> "Tensor":
@@ -143,36 +140,19 @@ class Tensor:
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         a, b = self.data, other.data
-        if a.ndim == 2 and b.ndim == 1:
-            if a.shape[1] != b.shape[0]:
-                raise ShapeError(f"matvec shape mismatch: {a.shape} vs {b.shape}")
-
-            def bw(g, x=self, y=other, a=a, b=b):
-                _accum(x, np.outer(g, b))
-                _accum(y, a.T @ g)
-        elif a.ndim == 1 and b.ndim == 2:
-            if a.shape[0] != b.shape[0]:
-                raise ShapeError(f"vecmat shape mismatch: {a.shape} vs {b.shape}")
-
-            def bw(g, x=self, y=other, a=a, b=b):
-                _accum(x, b @ g)
-                _accum(y, np.outer(a, g))
-        elif a.ndim == 2 and b.ndim == 2:
-            if a.shape[1] != b.shape[0]:
-                raise ShapeError(f"matmul shape mismatch: {a.shape} vs {b.shape}")
-
-            def bw(g, x=self, y=other, a=a, b=b):
-                _accum(x, g @ b.T)
-                _accum(y, a.T @ g)
-        elif a.ndim == 1 and b.ndim == 1:
-            if a.shape[0] != b.shape[0]:
-                raise ShapeError(f"dot shape mismatch: {a.shape} vs {b.shape}")
-
-            def bw(g, x=self, y=other, a=a, b=b):
-                _accum(x, g * b)
-                _accum(y, g * a)
-        else:
+        if a.ndim not in (1, 2) or b.ndim not in (1, 2):
             raise ShapeError(f"unsupported matmul ranks: {a.shape} @ {b.shape}")
+        if a.shape[-1] != b.shape[0]:
+            kind = {(2, 1): "matvec", (1, 2): "vecmat", (2, 2): "matmul", (1, 1): "dot"}[a.ndim, b.ndim]
+            raise ShapeError(f"{kind} shape mismatch: {a.shape} vs {b.shape}")
+
+        def bw(g, x=self, y=other, a=a, b=b):
+            # a vector is a one-row left operand or a one-column right operand
+            a2, b2 = a.reshape(-1, a.shape[-1]), b.reshape(b.shape[0], -1)
+            g2 = np.reshape(g, (a2.shape[0], b2.shape[1]))
+            _accum(x, (g2 @ b2.T).reshape(a.shape))
+            _accum(y, (a2.T @ g2).reshape(b.shape))
+
         return _node(a @ b, (self, other), bw)
 
     # -- indexing --------------------------------------------------------------

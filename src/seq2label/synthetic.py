@@ -36,8 +36,6 @@ def memorization_corpus(seed: int = 0) -> list[dict]:
     return records
 
 
-PAIR_LABELS = ("alpha", "beta", "gamma", "delta")
-
 COMPO_LABELS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 
 # inclusion probability per label; the skew mirrors the long tail of real

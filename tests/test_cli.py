@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,9 @@ from seq2label.corpus import LabelVocabulary, Vocabulary, write_jsonl
 from seq2label.errors import ConfigError, NumericError
 from seq2label.model import ModelConfig
 from seq2label.trainer import TrainConfig
+
+# a child process imports this checkout's library, as the tests themselves do
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 FAST = [
     "--embed-size", "4", "--encoder-hidden", "3", "--decoder-hidden", "4",
@@ -482,7 +486,7 @@ class TestCheckpointErrors:
         proc = subprocess.run(
             [sys.executable, "-m", "seq2label.cli", "evaluate",
              "--checkpoint", str(tmp_path / "missing.ckpt"), "--test", workdir["test"]],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 2
         assert "error:" in proc.stderr
@@ -548,7 +552,17 @@ class TestOutputPaths:
         ["predict", "--checkpoint", "{ckpt}", "--input", "{in}", "--out", "{tmp}/p.jsonl", "--max-steps", "0"],
         ["synth", "--out", "{tmp}/s.jsonl", "--seed", "-1"],
         ["build-vocab", "--train", "{train}", "--vocab", "{tmp}/v.tsv", "--label-vocab", ""],
-    ], ids=["predict-zero-steps", "synth-negative-seed", "build-vocab-empty-path"])
+        ["build-vocab", "--train", "{train}", "--vocab", "{tmp}/v.tsv", "--label-vocab", "{tmp}/l.tsv",
+         "--vocab-size", "0"],
+        ["train", "--train", "{train}", "--checkpoint", "{tmp}/m.ckpt", "--vocab-size", "-3"],
+        ["ablate", "--train", "{train}", "--test", "{test}", "--out", "{tmp}/a.json", "--vocab-size", "0"],
+        ["train", "--train", "{train}", "--checkpoint", "{tmp}/m.ckpt", "--max-len", "0"],
+        ["evaluate", "--checkpoint", "{ckpt}", "--test", "{test}", "--out", "{tmp}/m.json", "--max-len", "0"],
+        ["predict", "--checkpoint", "{ckpt}", "--input", "{in}", "--out", "{tmp}/p.jsonl", "--max-len", "0"],
+        ["ablate", "--train", "{train}", "--test", "{test}", "--out", "{tmp}/a.json", "--max-len", "-1"],
+    ], ids=["predict-zero-steps", "synth-negative-seed", "build-vocab-empty-path",
+            "build-vocab-zero-vocab-size", "train-negative-vocab-size", "ablate-zero-vocab-size",
+            "train-zero-max-len", "evaluate-zero-max-len", "predict-zero-max-len", "ablate-negative-max-len"])
     def test_bad_option_exits_one_before_writing(self, inputs, tmp_path, capsys, argv):
         code, _, err = run([a.format(**inputs, tmp=str(tmp_path)) for a in argv], capsys)
         assert code == 1
@@ -768,6 +782,8 @@ class TestSynth:
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "seq2label.cli"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 1  # no subcommand is a usage error
+    assert "error:" in proc.stderr
+    assert "No module named" not in proc.stderr and "Traceback" not in proc.stderr

@@ -151,6 +151,16 @@ class TestBuildVocab:
         assert len(vocab) == 4  # two kept tokens plus pad/unk
         assert vocab.id_of("c") == UNK_ID
 
+    def test_tie_straddling_max_size_keeps_first_seen(self):
+        # z and y tie at two behind x, and a cap of 2 cuts between them. A
+        # capped ranking goes through Counter.most_common(n)'s heap, an
+        # uncapped one through a full sort; both keep a tie in first-seen order.
+        records = [{"text": "z y z", "labels": ["X"]}, {"text": "y x x w x", "labels": ["X"]}]
+        ranked = build_vocab(records)[0].to_text().splitlines()
+        assert ranked == ["x\t3", "z\t2", "y\t2", "w\t1"]
+        for cap in range(1, 5):
+            assert build_vocab(records, max_size=cap)[0].to_text().splitlines() == ranked[:cap], cap
+
 
 class TestLoadJsonl:
     def test_reports_one_based_line_numbers(self, tmp_path):
@@ -322,3 +332,10 @@ class TestEncodeExamples:
         ]
         with pytest.raises(CorpusError, match="line 2"):
             corpus.encode_examples(records, v, lv)
+
+    @pytest.mark.parametrize("records", [[], [{"text": "a", "labels": ["X"]}]], ids=["none", "one"])
+    def test_bad_max_len_names_no_record(self, records):
+        v, lv = Vocabulary(["a"], [1]), LabelVocabulary(["X"], [1])
+        with pytest.raises(DataError, match="max_len must be positive") as caught:
+            corpus.encode_examples(records, v, lv, max_len=0)
+        assert not isinstance(caught.value, CorpusError)

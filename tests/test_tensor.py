@@ -262,6 +262,39 @@ class TestRowByRowProducts:
             self.ASSUMPTION
 
 
+class TestPromotedMatmulGradients:
+    # Tensor @ has one backward for every rank: a vector becomes a one-row
+    # left or one-column right operand, and both gradients are 2-D products.
+    # They keep the bits of each rank's own form (np.outer, a gemv, a scalar
+    # product) only because numpy runs a product with a dimension of 1 as a
+    # gemv, or as a gemm whose one-term sums are exact.
+    ASSUMPTION = ("numpy assumption broken: a product with a dimension of 1 no longer equals "
+                  "np.outer, the gemv or the scalar product bit for bit, so Tensor @ gradients would move")
+
+    @staticmethod
+    def grads(a, b, g):
+        x, y = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        ((x @ y) * Tensor(g)).sum().backward()  # the product's gradient is exactly g
+        return x.grad, y.grad
+
+    def test_promoted_forms_equal_rank_forms_at_model_shapes(self):
+        rng = np.random.default_rng(9)
+        # (inner, outer) of the model's products, as in TestRowByRowProducts
+        shapes = [(192, 256), (64, 256), (64, 64), (128, 64), (64, 55), (64, 104), (54, 64), (103, 64)]
+        for inner, outer in shapes:
+            v, w, g = rng.normal(size=inner), rng.normal(size=(inner, outer)), rng.normal(size=outer)
+            dv, dw = self.grads(v, w, g)
+            assert np.array_equal(dv, w @ g) and np.array_equal(dw, np.outer(v, g)), \
+                (self.ASSUMPTION, "vecmat", inner, outer)
+            wt = w.T.copy()
+            dw, dv = self.grads(wt, v, g)
+            assert np.array_equal(dw, np.outer(g, v)) and np.array_equal(dv, wt.T @ g), \
+                (self.ASSUMPTION, "matvec", outer, inner)
+            u, s = rng.normal(size=inner), np.asarray(rng.normal())
+            du, dv = self.grads(u, v, s)
+            assert np.array_equal(du, s * v) and np.array_equal(dv, s * u), (self.ASSUMPTION, "dot", inner)
+
+
 class TestIndexing:
     CASES = [3, slice(1, 4), np.array([4, 0, 4, 2]), np.array([2, 0, 4, 1, 3])]
 
