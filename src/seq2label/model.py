@@ -16,21 +16,22 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 from .numerics import (
     ParameterStore,
     RngStream,
     Tensor,
     add_lstm_params,
     attention_head,
+    bilstm_sequence,
     concat,
     dropout,
     lstm_cell_step,
-    lstm_sequence,
     matvec,
     sigmoid,
     vecmat,
 )
+from .numerics.tensor import _gather
 
 GE_MODES = ("off", "gate", "lambda")
 
@@ -101,15 +102,22 @@ class DecoderState:
     loss: Tensor | None = None
 
     def take(self, rows) -> DecoderState:
-        """The state of the rows at ``rows``, a slice or row indices. Indices
-        may repeat: two children of one hypothesis share its stepped row."""
+        """The state of the rows at ``rows``, a slice or a list of row
+        indices. Indices may repeat: two children of one hypothesis share its
+        stepped row. The indices are checked here, once for every tensor."""
         n = len(self.mask)
-        if list(range(n)[rows] if isinstance(rows, slice) else rows) == list(range(n)):
+        if not isinstance(rows, slice):
+            if not all(isinstance(r, (int, np.integer)) and 0 <= r < n for r in rows):
+                raise ShapeError(f"rows {rows!r} must be integers in range for a state of {n} rows")
+            if list(rows) == list(range(n)):
+                return self
+            rows = np.array(rows, dtype=np.int64)
+        elif range(n)[rows] == range(n):
             return self
         return DecoderState(
-            layers=[(h[rows], c[rows]) for h, c in self.layers],
-            context=self.context[rows],
-            y_prev=None if self.y_prev is None else self.y_prev[rows],
+            layers=[(_gather(h, rows), _gather(c, rows)) for h, c in self.layers],
+            context=_gather(self.context, rows),
+            y_prev=None if self.y_prev is None else _gather(self.y_prev, rows),
             prev_class=self.prev_class[rows],
             mask=self.mask[rows],
         )
@@ -199,9 +207,9 @@ class Seq2LabelModel:
         """Run the bidirectional encoder over documents of ``lengths`` ids
         laid end to end in ``token_ids``.
 
-        One embedding lookup, one dropout draw per layer, one ``lstm_sequence``
-        per direction and layer and one attention projection cover every
-        document; states concatenate the fwd and bwd halves.
+        One embedding lookup, one dropout draw per layer, one
+        ``bilstm_sequence`` node per layer (its states the fwd half, then the
+        bwd half) and one attention projection cover every document.
         """
         ids = np.asarray(token_ids, dtype=np.int64)
         if len(lengths) == 0:
@@ -210,20 +218,15 @@ class Seq2LabelModel:
             raise ConfigError(
                 f"token_ids must be a vector of non-empty documents, got shape {ids.shape}, lengths {lengths}"
             )
-        cfg = self.config
+        cfg, p = self.config, self.params
         mode = "train" if train else "eval"
         x = dropout(self.embed(ids), cfg.dropout, mode, rng)
         for layer in range(cfg.encoder_layers):
             if layer:
                 x = dropout(x, cfg.dropout, mode, rng)
-            fwd = self._run_direction(f"enc.l{layer}.fwd", x, lengths)
-            bwd = self._run_direction(f"enc.l{layer}.bwd", x, lengths, reverse=True)
-            x = concat([fwd, bwd])
-        return EncoderOutput(states=x, proj=x @ self.params["attn.w_enc"], lengths=[int(n) for n in lengths])
-
-    def _run_direction(self, prefix: str, x: Tensor, lengths, reverse: bool = False) -> Tensor:
-        p = self.params
-        return lstm_sequence(x, p[f"{prefix}.wx"], p[f"{prefix}.wh"], p[f"{prefix}.b"], reverse, lengths)
+            fwd, bwd = ([p[f"enc.l{layer}.{d}.{w}"] for w in ("wx", "wh", "b")] for d in ("fwd", "bwd"))
+            x = bilstm_sequence(x, fwd, bwd, lengths)
+        return EncoderOutput(states=x, proj=x @ p["attn.w_enc"], lengths=[int(n) for n in lengths])
 
     # -- decoder ------------------------------------------------------------
 
@@ -260,7 +263,8 @@ class Seq2LabelModel:
         """Embedding of the previous prediction, per the configured mix mode
         (of the start marker before the first step)."""
         if state.y_prev is None or self.config.ge_mode == "off":
-            return self.params["embed.labels"][state.prev_class]
+            # ``init_state`` and ``advance`` checked every previous class
+            return _gather(self.params["embed.labels"], state.prev_class)
         if self.config.ge_mode == "gate":
             return self.global_embedding(state.y_prev, state.prev_class)
         return self.fixed_lambda_embedding(state.y_prev, state.prev_class)
@@ -342,6 +346,14 @@ class Seq2LabelModel:
 
     def advance(self, state: DecoderState, emitted) -> DecoderState:
         """Commit a chosen class (one per row): record it and strike it from
-        the mask."""
-        mask = update_mask(state.mask, emitted, self.eos_class) if self.config.use_mask else state.mask.copy()
+        the mask. Every class is range-checked, with the mask on or off: the
+        next step reads its label embedding unchecked."""
+        if self.config.use_mask:
+            mask = update_mask(state.mask, emitted, self.eos_class)
+        else:
+            classes, mask = np.asarray(emitted), state.mask.copy()
+            if classes.shape != mask.shape[:-1] or classes.dtype.kind not in "iu" or (
+                classes.size and not 0 <= classes.min() <= classes.max() < mask.shape[-1]
+            ):
+                raise NumericError(f"emitted classes {emitted} out of range for a mask of shape {mask.shape}")
         return replace(state, prev_class=emitted, mask=mask)

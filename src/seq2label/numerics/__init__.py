@@ -2,7 +2,7 @@
 
 from .gradcheck import finite_difference_check
 from .head import attention_head, masked_softmax
-from .lstm import add_lstm_params, lstm_cell_step, lstm_sequence
+from .lstm import add_lstm_params, bilstm_sequence, lstm_cell_step, lstm_sequence
 from .params import ParameterStore, adam_step, clip_gradients
 from .rng import RngStream
 from .tensor import (
@@ -23,6 +23,7 @@ __all__ = [
     "adam_step",
     "add_lstm_params",
     "attention_head",
+    "bilstm_sequence",
     "clip_gradients",
     "concat",
     "dropout",

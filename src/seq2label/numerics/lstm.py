@@ -1,14 +1,18 @@
 """LSTM recurrence: a fused op over whole sequences (one document, or a
-batch of documents packed time-major), a single cell step (a vector, or
-a block of rows, documents or hypotheses, each stepped on its own), and
-the parameter initializer.
+batch of documents packed time-major) in one direction or in both of a
+bidirectional layer, a single cell step (a vector, or a block of rows,
+documents or hypotheses, each stepped on its own), and the parameter
+initializer.
 
 Weight layout: wx is (input_dim, 4H), wh is (H, 4H), b is (4H,), with the four
 gate blocks ordered input, forget, cell, output. Both ops share one step
 kernel (the logistic function over all 4H pre-activations, tanh on the cell
-block, then the state update), run on a (4H,) vector or on a (B, 4H) block
-of documents, and one step backward, derived by hand from the saved gate
-values.
+block, then the state update), run on a (4H,) vector or on a block of rows,
+and one step backward, derived by hand from the saved gate values. The
+sequence op keeps its packed arrays as (N, D, ·), a direction axis inside
+the packed axis, so one step loop runs the kernel once per step on the
+(B_t, D, 4H) block of every direction, forward and in backpropagation
+through time.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ def _unpack(packed: np.ndarray, rows) -> np.ndarray:
 
 def _rows(first: int, size: int):
     """``size`` packed rows from ``first``: an int for one row, so that a lone
-    document steps on vectors, else a slice."""
+    document steps on (D, ·) blocks of one vector per direction, else a slice."""
     return first if size == 1 else slice(first, first + size)
 
 
@@ -116,6 +120,80 @@ def _step_rows(sizes: list[int]) -> list[tuple]:
         steps.append((_rows(start, size), None if prev is None else _rows(prev, size), _rows(0, size)))
         prev, start = start, start + size
     return steps
+
+
+def _by_direction(block: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each direction's rows of a (B, D, K) block, or its vector of a (D, K)
+    one, times that direction's (K, M) matrix in ``w`` (D, K, M). numpy's
+    stacked matmul runs one product per direction, on the strided (D, B, K)
+    view (a gemm) or on (D, 1, K) (a gemv), with the bits of that direction's
+    product taken alone."""
+    if block.ndim == 2:
+        return np.matmul(block[:, None, :], w)[:, 0]
+    return np.matmul(block.swapaxes(0, 1), w).swapaxes(0, 1)
+
+
+def _directions(xs: Tensor, dirs: list[tuple[Tensor, Tensor, Tensor, bool]], lengths) -> Tensor:
+    """LSTMs of equal width, one per ``(wx, wh, b, reverse)`` in ``dirs``,
+    each from a zero state over every document in ``xs``, as one graph node
+    holding their (N, H) states side by side.
+
+    Every direction packs the documents with the same ``sizes`` (``_pack``),
+    so one loop steps them all: the packed arrays are (N, D, ·), each step's
+    block ``[now]`` is contiguous, and its recurrence is one stacked matmul
+    (``_by_direction``) against the directions' ``wh`` stacked once per call.
+    """
+    x = xs.data
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ShapeError(f"lstm_sequence expects a non-empty (N, D) matrix, got shape {x.shape}")
+    n, hd = x.shape[0], (dirs[0][1].data.shape[0] if dirs[0][1].data.ndim == 2 else 0)
+    for wx, wh, b, _ in dirs:
+        _check_weights(x.shape[1], hd, wx, wh, b)
+    packs = [_pack([n] if lengths is None else lengths, n, reverse) for *_, reverse in dirs]
+    rows, sizes = [r for r, _ in packs], packs[0][1]
+    nd = len(dirs)
+    proj = np.empty((n, nd, 4 * hd))
+    for d, (wx, *_) in enumerate(dirs):
+        proj[:, d] = (x @ wx.data)[rows[d]]
+    w_h = np.stack([wh.data for _, wh, _, _ in dirs])
+    bias = np.stack([b.data for _, _, b, _ in dirs])
+    # packed per-step results, kept for backward
+    acts, cells, hs = np.empty((n, nd, 4 * hd)), np.empty((n, nd, hd)), np.empty((n, nd, hd))
+    tanh_step = np.empty((sizes[0], nd, hd))
+    steps = _step_rows(sizes)
+    for now, prev, mine in steps:
+        h, c = (hs[prev], cells[prev]) if prev is not None else (np.zeros(hs[now].shape),) * 2
+        _step(proj[now] + _by_direction(h, w_h) + bias, c, acts[now], cells[now], tanh_step[mine], hs[now])
+    out = np.concatenate([_unpack(hs[:, d], rows[d]) for d in range(nd)], axis=1)
+
+    def bw(g, xs=xs, dirs=dirs):
+        gp = np.stack([g[rows[d], d * hd:(d + 1) * hd] for d in range(nd)], axis=1)
+        tanh_c = np.tanh(cells)
+        dtanh_c = 1.0 - tanh_c * tanh_c
+        d_pre = _gate_slopes(acts, hd)  # each step overwrites its slopes with its d_pre
+        d_act = np.empty((sizes[0], nd, 4 * hd))
+        dh, dc = np.zeros((sizes[0], nd, hd)), np.zeros((sizes[0], nd, hd))
+        w_ht = w_h.swapaxes(1, 2)
+        for now, prev, mine in reversed(steps):
+            dh_t = dh[mine]
+            dh_t += gp[now]
+            c_prev = cells[prev] if prev is not None else np.zeros(dh_t.shape)
+            _step_back(dh_t, dc[mine], acts[now], d_pre[now], c_prev,
+                       tanh_c[now], dtanh_c[now], d_act[mine], d_pre[now])
+            dh[mine] = _by_direction(d_pre[now], w_ht)
+        # h_prev of every packed position after step 0: the same document's
+        # previous step, sizes[t - 1] positions back
+        after = sizes[0]
+        back = np.arange(after, n) - np.repeat(np.array(sizes[:-1], dtype=np.int64), sizes[1:])
+        for d, (wx, wh, b, _) in enumerate(dirs):
+            # contiguous, as one direction alone holds it, so the products keep its bits
+            d_pre_d = np.ascontiguousarray(d_pre[:, d])
+            _accum(wh, hs[back, d].T @ d_pre_d[after:])
+            _accum(wx, x[rows[d]].T @ d_pre_d)
+            _accum(b, d_pre_d.sum(axis=0))
+            _accum(xs, _unpack(d_pre_d @ wx.data.T, rows[d]))
+
+    return _node(out, (xs,) + tuple(t for cell in dirs for t in cell[:3]), bw)
 
 
 def lstm_sequence(
@@ -134,47 +212,15 @@ def lstm_sequence(
     through time inside the node and ends in one matmul per weight and one for
     the inputs.
     """
-    x = xs.data
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeError(f"lstm_sequence expects a non-empty (N, D) matrix, got shape {x.shape}")
-    n, hd = x.shape[0], (wh.data.shape[0] if wh.data.ndim == 2 else 0)
-    _check_weights(x.shape[1], hd, wx, wh, b)
-    rows, sizes = _pack([n] if lengths is None else lengths, n, reverse)
-    proj = (x @ wx.data)[rows]
-    # packed per-step results, kept for backward
-    acts, cells, hs = np.empty((n, 4 * hd)), np.empty((n, hd)), np.empty((n, hd))
-    tanh_step = np.empty((sizes[0], hd))
-    w_h, bias = wh.data, b.data
-    steps = _step_rows(sizes)
-    for now, prev, mine in steps:
-        h, c = (hs[prev], cells[prev]) if prev is not None else (np.zeros(hs[now].shape),) * 2
-        _step(proj[now] + (h @ w_h) + bias, c, acts[now], cells[now], tanh_step[mine], hs[now])
-    out = _unpack(hs, rows)
+    return _directions(xs, [(wx, wh, b, reverse)], lengths)
 
-    def bw(g, xs=xs, wx=wx, wh=wh, b=b):
-        gp = g[rows]
-        tanh_c = np.tanh(cells)
-        dtanh_c = 1.0 - tanh_c * tanh_c
-        d_pre = _gate_slopes(acts, hd)  # each step overwrites its slopes with its d_pre
-        d_act = np.empty((sizes[0], 4 * hd))
-        dh, dc = np.zeros((sizes[0], hd)), np.zeros((sizes[0], hd))
-        for now, prev, mine in reversed(steps):
-            dh_t = dh[mine]
-            dh_t += gp[now]
-            c_prev = cells[prev] if prev is not None else np.zeros(dh_t.shape)
-            _step_back(dh_t, dc[mine], acts[now], d_pre[now], c_prev,
-                       tanh_c[now], dtanh_c[now], d_act[mine], d_pre[now])
-            dh[mine] = d_pre[now] @ w_h.T
-        # h_prev of every packed position after step 0: the same document's
-        # previous step, sizes[t - 1] positions back
-        after = sizes[0]
-        h_prev = hs[np.arange(after, n) - np.repeat(np.array(sizes[:-1], dtype=np.int64), sizes[1:])]
-        _accum(wh, h_prev.T @ d_pre[after:])
-        _accum(wx, x[rows].T @ d_pre)
-        _accum(b, d_pre.sum(axis=0))
-        _accum(xs, _unpack(d_pre @ wx.data.T, rows))
 
-    return _node(out, (xs, wx, wh, b), bw)
+def bilstm_sequence(xs: Tensor, fwd, bwd, lengths=None) -> Tensor:
+    """A forward and a reverse ``lstm_sequence`` over ``xs`` in one step
+    loop, as one graph node: ``fwd`` and ``bwd`` are each ``(wx, wh, b)``,
+    and the (N, 2H) result holds the forward states, then the reverse ones,
+    each with the bits of its own ``lstm_sequence``."""
+    return _directions(xs, [(*fwd, False), (*bwd, True)], lengths)
 
 
 def lstm_cell_step(

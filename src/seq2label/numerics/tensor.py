@@ -181,28 +181,36 @@ class Tensor:
             if idx.ndim != 1 or bad:
                 raise ShapeError(f"index array must be an integer vector within range for shape {shape}")
             index = idx.astype(np.int64, copy=False)
-
-        def bw(g, x=self, index=index):
-            # add into the gradient buffer itself: no table-sized temporary
-            if x.grad is None:
-                x.grad = np.zeros(shape)
-            if not isinstance(index, np.ndarray):
-                x.grad[index] += g
-            elif index.size == shape[0] and index.size and np.bincount(index, minlength=index.size).max() == 1:
-                # a permutation of every row: its gradient is a gather, not a scatter-add
-                x.grad += g[np.argsort(index)]
-            else:
-                np.add.at(x.grad, index, g)
-
-        out = self.data[index]
-        # an index array gathers a fresh array; ints and slices give views
-        return _node(out if isinstance(index, np.ndarray) else out.copy(), (self,), bw)
+        return _gather(self, index)
 
     def sum(self) -> "Tensor":
         def bw(g, x=self):
             _accum(x, np.full(x.data.shape, float(g)))
 
         return _node(self.data.sum(), (self,), bw)
+
+
+def _gather(x: Tensor, index) -> Tensor:
+    """``x[index]`` as a graph node, for an index already known to be valid:
+    an in-range int, a slice, an ``(..., int or slice)`` tuple, or an int64
+    index vector within range (``Tensor.__getitem__`` checks; callers that
+    built the index themselves skip the checks)."""
+
+    def bw(g, x=x, index=index):
+        # add into the gradient buffer itself: no table-sized temporary
+        if x.grad is None:
+            x.grad = np.zeros(x.data.shape)
+        if not isinstance(index, np.ndarray):
+            x.grad[index] += g
+        elif index.size == x.data.shape[0] and index.size and np.bincount(index, minlength=index.size).max() == 1:
+            # a permutation of every row: its gradient is a gather, not a scatter-add
+            x.grad += g[np.argsort(index)]
+        else:
+            np.add.at(x.grad, index, g)
+
+    out = x.data[index]
+    # an index array gathers a fresh array; ints and slices give views
+    return _node(out if isinstance(index, np.ndarray) else out.copy(), (x,), bw)
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], bw) -> Tensor:

@@ -13,9 +13,12 @@ from seq2label.numerics import (
     RngStream,
     Tensor,
     add_lstm_params,
+    bilstm_sequence,
+    concat,
     lstm_cell_step,
     lstm_sequence,
 )
+from seq2label.numerics.lstm import _by_direction
 from seq2label.trainer import sequence_loss
 
 
@@ -268,6 +271,93 @@ class TestPacked:
         xs, wx, wh, b = (Tensor(a) for a in self.arrays([5], 50))
         with pytest.raises(ShapeError, match="lengths"):
             lstm_sequence(xs, wx, wh, b, lengths=lengths)
+
+
+class TestBidirectional:
+    """Both directions of a layer stepped by one loop, as one node."""
+
+    @staticmethod
+    def arrays(lengths, seed, hidden, in_dim=5):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(sum(lengths), in_dim)),) + random_weights(rng, in_dim, hidden) \
+            + random_weights(rng, in_dim, hidden)
+
+    @pytest.mark.parametrize("hidden", [8, 64])
+    @pytest.mark.parametrize("lengths", [[1], [5], [40], [3, 1, 7, 1, 2], [1, 1], [9, 1, 40, 6, 6, 1, 17]],
+                             ids=["1", "5", "40", "packed", "ones", "packed-long"])
+    def test_equals_two_directions_joined(self, lengths, hidden):
+        arrays = self.arrays(lengths, sum(lengths) + hidden, hidden)
+        weights = Tensor(np.random.default_rng(hidden).normal(size=(sum(lengths), 2 * hidden)))
+        one = [Tensor(a, requires_grad=True) for a in arrays]
+        out = bilstm_sequence(one[0], one[1:4], one[4:], lengths)
+        (out * weights).sum().backward()
+        two = [Tensor(a, requires_grad=True) for a in arrays]
+        joined = concat([lstm_sequence(two[0], *two[1:4], lengths=lengths),
+                         lstm_sequence(two[0], *two[4:], reverse=True, lengths=lengths)])
+        (joined * weights).sum().backward()
+        assert np.array_equal(out.data, joined.data)
+        for name, a, b in zip(("xs", "fwd.wx", "fwd.wh", "fwd.b", "bwd.wx", "bwd.wh", "bwd.b"), one, two):
+            assert np.array_equal(a.grad, b.grad), name
+
+    @pytest.mark.parametrize("lengths", [[4], [3, 1, 4, 1]], ids=["lone", "packed"])
+    def test_gradients_match_finite_differences(self, lengths):
+        arrays = self.arrays(lengths, 60 + len(lengths), hidden=2, in_dim=3)
+        weights = np.random.default_rng(3).normal(size=(sum(lengths), 4))
+        check_grads(lambda xs, *w: (bilstm_sequence(xs, w[:3], w[3:], lengths) * Tensor(weights)).sum(), *arrays)
+
+    def test_records_one_node(self):
+        xs = Tensor(np.ones((6, 5)), requires_grad=True)
+        weights = [Tensor(a) for a in self.arrays([6], 0, 2)[1:4]]
+        out = bilstm_sequence(xs, weights, weights, [2, 4])
+        assert out.data.shape == (6, 4) and out._parents == (xs,)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_encoder_records_one_node_per_layer(self, layers):
+        cfg = ModelConfig(embed_size=5, encoder_hidden=4, decoder_hidden=6, encoder_layers=layers, dropout=0.3)
+        m = Seq2LabelModel(cfg, 30, 5, RngStream(1))
+        enc = m.encode_batch(np.array([3, 7, 7, 2, 19, 4, 11]), [4, 1, 2], train=True, rng=RngStream(2))
+        weights = {id(m.params[f"enc.l{k}.{d}.{w}"]) for k in range(layers) for d in ("fwd", "bwd")
+                   for w in ("wx", "wh", "b")}
+        seen, stack, lstm_nodes = set(), [enc.states, enc.proj], []
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if any(id(p) in weights for p in node._parents):
+                lstm_nodes.append(node)
+            stack.extend(node._parents)
+        assert len(lstm_nodes) == layers
+        assert all(len(node._parents) == 7 for node in lstm_nodes)  # the layer's input and six weights
+
+
+class TestStackedDirectionProducts:
+    # bilstm_sequence equals two lstm_sequence calls bit for bit only because
+    # numpy's stacked matmul over the directions runs each direction's gemm
+    # (or, for one row, gemv) on its strided view with the bits of that
+    # product taken alone on contiguous operands. A numpy or BLAS upgrade
+    # that changes matmul's dispatch fails here first.
+    ASSUMPTION = ("numpy assumption broken: a product stacked over the directions no longer equals "
+                  "each direction's own gemm or gemv bit for bit, so bilstm_sequence would drift "
+                  "from two lstm_sequence calls")
+
+    def test_stacked_forms_equal_per_direction_products_at_model_shapes(self):
+        rng = np.random.default_rng(12)
+        for hidden in (8, 64):
+            wh = [rng.normal(size=(hidden, 4 * hidden)) for _ in range(2)]
+            stacked = np.stack(wh)
+            for rows in range(1, 17):
+                # a step's block inside the packed (N, D, ·) arrays, as the loop
+                # reads it: one row is an int index, a (D, ·) block of vectors
+                at = 3 if rows == 1 else slice(3, 3 + rows)
+                hs, d_pre = rng.normal(size=(40, 2, hidden)), rng.normal(size=(40, 2, 4 * hidden))
+                h, d = hs[at], d_pre[at]
+                rec, back = _by_direction(h, stacked), _by_direction(d, stacked.swapaxes(1, 2))
+                for k in range(2):
+                    # each direction's product on contiguous operands, as one direction steps
+                    h_k, d_k = np.ascontiguousarray(h[..., k, :]), np.ascontiguousarray(d[..., k, :])
+                    assert np.array_equal(rec[..., k, :], h_k @ wh[k]), (self.ASSUMPTION, "forward", hidden, rows)
+                    assert np.array_equal(back[..., k, :], d_k @ wh[k].T), (self.ASSUMPTION, "backward", hidden, rows)
 
 
 class TestCell:

@@ -7,7 +7,7 @@ import pytest
 import oracles
 import seq2label.model as model_mod
 import seq2label.numerics.head as head_mod
-from seq2label.errors import ConfigError, NumericError
+from seq2label.errors import ConfigError, NumericError, ShapeError
 from seq2label.model import DecoderState, ModelConfig, Seq2LabelModel, update_mask
 from seq2label.numerics import RngStream, Tensor
 
@@ -242,6 +242,18 @@ class TestDecoderInvariants:
         _, y2, _ = m.decoder_step(state, enc)
         assert y2.data[1] > 0.0
 
+    @pytest.mark.parametrize("rows", [None, 2], ids=["lone", "rows"])
+    def test_mask_off_still_range_checks_each_class(self, rows):
+        # the next step reads the class's label embedding unchecked, so a
+        # class outside the C output classes must stop at advance, mask or no
+        m = tiny_model(use_mask=False)
+        state = m.decoder_step(m.init_state(rows), m.encode(np.array([2, 3])))[0]
+        classes = m.num_labels + 1
+        for bad in (-1, classes + 2):
+            with pytest.raises(NumericError, match="out of range"):
+                m.advance(state, bad if rows is None else np.array([0, bad]))
+        assert m.advance(state, classes - 1 if rows is None else np.array([0, classes - 1])).mask is not state.mask
+
 
 class TestPreviousLabelModes:
     def drive(self, m: Seq2LabelModel, classes):
@@ -370,6 +382,13 @@ class TestStackedHypotheses:
         assert np.array_equal(taken.layers[0][0].data, state.layers[0][0].data[[2, 2, 0]])
         assert np.array_equal(taken.y_prev.data, state.y_prev.data[[2, 2, 0]])
         assert state.take([0, 1, 2]) is state and state.take(slice(3)) is state
+
+    @pytest.mark.parametrize("rows", [[0, -1], [3], [1, 2, 3]], ids=["negative", "past-the-end", "last-past"])
+    def test_take_rejects_rows_out_of_range(self, rows):
+        m = tiny_model(num_labels=4)
+        state = m.decoder_step(m.init_state(3), m.encode(np.array([2, 3])))[0]
+        with pytest.raises(ShapeError, match="in range"):
+            state.take(rows)
 
     def test_wide_stack_in_blocks_equals_one_block(self, monkeypatch):
         # 7 rows over a 23-row document, the tanh block held to two rows at a time
