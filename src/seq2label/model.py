@@ -22,7 +22,6 @@ from .numerics import (
     RngStream,
     Tensor,
     add_lstm_params,
-    attention_head,
     bilstm_sequence,
     concat,
     dropout,
@@ -31,6 +30,7 @@ from .numerics import (
     sigmoid,
     vecmat,
 )
+from .numerics.head import _attention_head
 from .numerics.tensor import _gather
 
 GE_MODES = ("off", "gate", "lambda")
@@ -252,9 +252,11 @@ class Seq2LabelModel:
         the output layer, masked softmax and loss on top: one
         ``attention_head`` node. Every row reads the document of an ``enc``
         holding one, row by row; otherwise row b reads document b of
-        ``enc``. Returns (out, alpha): ``out`` joins [context, y, loss]."""
+        ``enc``. Returns (out, alpha): ``out`` joins [context, y, loss].
+        ``mask`` is a decoder state's, built by ``init_state`` and
+        ``update_mask``, so it is not checked again."""
         p = self.params
-        return attention_head(
+        return _attention_head(
             s_top, enc.states, enc.proj, p["attn.w_state"], p["attn.v"],
             p["out.w_state"], p["out.w_context"], p["out.w_logits"], mask, enc.lengths, targets,
         )
@@ -262,8 +264,9 @@ class Seq2LabelModel:
     def input_embedding(self, state: DecoderState) -> Tensor:
         """Embedding of the previous prediction, per the configured mix mode
         (of the start marker before the first step)."""
+        # ``init_state`` and ``advance`` checked every previous class, so
+        # each mode gathers its label row unchecked
         if state.y_prev is None or self.config.ge_mode == "off":
-            # ``init_state`` and ``advance`` checked every previous class
             return _gather(self.params["embed.labels"], state.prev_class)
         if self.config.ge_mode == "gate":
             return self.global_embedding(state.y_prev, state.prev_class)
@@ -278,9 +281,10 @@ class Seq2LabelModel:
         """Gated blend of the chosen label's embedding with the expected one.
 
         Each row of a matrix ``y_prev`` blends on its own, with the bits of
-        that row given alone as a vector.
+        that row given alone as a vector. ``prev_class`` is an in-range class
+        (an int, or an integer vector with one per row), as ``advance`` checks.
         """
-        e = self.params["embed.labels"][prev_class]
+        e = _gather(self.params["embed.labels"], prev_class)
         avg = self._average_embedding(y_prev)
         gate = sigmoid(matvec(self.params["ge.w_choice"], e) + matvec(self.params["ge.w_average"], avg))
         one = Tensor(np.ones(e.data.shape))
@@ -292,7 +296,7 @@ class Seq2LabelModel:
         At lambda 0 the chosen embedding is returned as-is, bypassing the
         blend arithmetic, so results match ge_mode "off" bit for bit.
         """
-        e = self.params["embed.labels"][prev_class]
+        e = _gather(self.params["embed.labels"], prev_class)
         lam = self.config.ge_lambda
         if lam == 0.0:
             return e

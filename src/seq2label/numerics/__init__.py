@@ -1,4 +1,4 @@
-"""Autodiff tensors, RNG, parameters, optimizer, LSTM ops, the attention head, gradient checks."""
+"""Autodiff tensors, RNG, parameters, optimizer, LSTM ops, the attention head, gradient checks, the sweeps' thread pool."""
 
 from .gradcheck import finite_difference_check
 from .head import attention_head, masked_softmax

@@ -62,13 +62,25 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray, targets=None):
     logsumexp of the masked logits minus the target's logit.
     """
     logits, mask = np.asarray(logits, dtype=np.float64), np.asarray(mask, dtype=np.float64)
-    if mask.shape != logits.shape:
-        raise ShapeError(f"logits shape {logits.shape} and mask shape {mask.shape} must be equal")
+    _check_mask(mask, logits.shape)
+    return _masked_softmax(logits, mask, targets)
+
+
+def _check_mask(mask: np.ndarray, shape: tuple[int, ...]) -> None:
+    """A mask of logits of ``shape``: that shape, entries 0 or -inf, and at
+    least one 0 per row."""
+    if mask.shape != shape:
+        raise ShapeError(f"logits shape {shape} and mask shape {mask.shape} must be equal")
     allowed = mask == 0.0
     if not np.all(allowed | (mask == -np.inf)):
         raise NumericError("mask entries must be 0 or -inf")
     if not allowed.any(axis=-1).all():
         raise NumericError("no unmasked label")
+
+
+def _masked_softmax(logits: np.ndarray, mask: np.ndarray, targets=None):
+    """``masked_softmax`` of a mask already checked (``_check_mask``); the
+    targets are checked here."""
     z = logits + mask
     y, top, total = _softmax(z)
     if targets is None:
@@ -77,7 +89,7 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray, targets=None):
     classes = logits.shape[-1]
     if tgt.shape != logits.shape[:-1] or tgt.dtype.kind not in "iu" or tgt.min() < 0 or tgt.max() >= classes:
         raise ShapeError(f"targets {targets!r} must be one class in [0, {classes}) per row")
-    if not np.take_along_axis(allowed, tgt[..., None], -1).all():
+    if np.take_along_axis(mask, tgt[..., None], -1).any():
         raise NumericError("target label masked")
     return y, (np.log(total) - (np.take_along_axis(z, tgt[..., None], -1) - top))[..., 0]
 
@@ -110,8 +122,8 @@ def attention_head(
     arithmetic of that row given alone as a vector (the hypotheses of a
     search); otherwise row b of ``s`` attends over document b, and
     documents past the last row of ``s`` are not read. ``mask`` has one row
-    of 0/-inf entries per row of ``s``, over the C output classes.
-    ``targets`` (an int per row) adds the loss.
+    of 0/-inf entries per row of ``s``, over the C output classes, and is
+    checked here. ``targets`` (an int per row) adds the loss.
 
     Returns ``(out, alpha)``: ``out`` joins [context (2E), y (C), loss (1,
     with targets only)] along its last axis, one row per row of ``s``, and
@@ -119,6 +131,27 @@ def attention_head(
     per row of ``s`` over the one document, else each document's weights
     end to end) and carries no gradient.
     """
+    mask = np.asarray(mask, dtype=np.float64)
+    _check_mask(mask, s.data.shape[:-1] + w_logits.data.shape[:1])
+    return _attention_head(s, states, proj, w_query, v, w_out_state, w_out_context, w_logits,
+                           mask, lengths, targets)
+
+
+def _attention_head(
+    s: Tensor,
+    states: Tensor,
+    proj: Tensor,
+    w_query: Tensor,
+    v: Tensor,
+    w_out_state: Tensor,
+    w_out_context: Tensor,
+    w_logits: Tensor,
+    mask: np.ndarray,
+    lengths=None,
+    targets=None,
+) -> tuple[Tensor, np.ndarray]:
+    """``attention_head`` with a mask already known to be valid, such as the
+    decoder's, which ``init_state`` and ``update_mask`` build."""
     sd, st, pj = s.data, states.data, proj.data
     if sd.ndim not in (1, 2) or sd.shape[0] == 0 or st.ndim != 2 or pj.ndim != 2 or pj.shape[0] != st.shape[0]:
         raise ShapeError(f"attention_head expects s (H,) or (B, H) and (N, ·) states and projections, "
@@ -153,10 +186,10 @@ def attention_head(
     logits = _matvec(w_logits.data, hidden)
     tgt = None if targets is None else np.asarray(targets)
     if tgt is None:
-        y = masked_softmax(logits, mask)
+        y = _masked_softmax(logits, mask)
         parts = [ctx, y]
     else:
-        y, loss = masked_softmax(logits, mask, tgt)
+        y, loss = _masked_softmax(logits, mask, tgt)
         parts = [ctx, y, loss[..., None]]
     classes = y.shape[-1]
 

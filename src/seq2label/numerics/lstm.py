@@ -17,10 +17,13 @@ through time.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..errors import ShapeError
 from .params import ParameterStore
+from .pool import run, split
 from .tensor import Tensor, _accum, _node, _vecmat, logistic
 
 
@@ -185,13 +188,21 @@ def _directions(xs: Tensor, dirs: list[tuple[Tensor, Tensor, Tensor, bool]], len
         # previous step, sizes[t - 1] positions back
         after = sizes[0]
         back = np.arange(after, n) - np.repeat(np.array(sizes[:-1], dtype=np.int64), sizes[1:])
-        for d, (wx, wh, b, _) in enumerate(dirs):
+
+        def products(d: int, wx: Tensor) -> tuple[np.ndarray, ...]:
             # contiguous, as one direction alone holds it, so the products keep its bits
             d_pre_d = np.ascontiguousarray(d_pre[:, d])
-            _accum(wh, hs[back, d].T @ d_pre_d[after:])
-            _accum(wx, x[rows[d]].T @ d_pre_d)
-            _accum(b, d_pre_d.sum(axis=0))
-            _accum(xs, _unpack(d_pre_d @ wx.data.T, rows[d]))
+            return (hs[back, d].T @ d_pre_d[after:], x[rows[d]].T @ d_pre_d, d_pre_d.sum(axis=0),
+                    _unpack(d_pre_d @ wx.data.T, rows[d]))
+
+        # the directions' products at once (``pool``), added in direction order
+        pieces = [partial(products, d, wx) for d, (wx, *_) in enumerate(dirs)]
+        grads = run(pieces) if split(n * 4 * hd, nd) > 1 else [piece() for piece in pieces]
+        for (wx, wh, b, _), (g_wh, g_wx, g_b, g_x) in zip(dirs, grads):
+            _accum(wh, g_wh)
+            _accum(wx, g_wx)
+            _accum(b, g_b)
+            _accum(xs, g_x)
 
     return _node(out, (xs,) + tuple(t for cell in dirs for t in cell[:3]), bw)
 

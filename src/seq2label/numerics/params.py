@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import threading
+from functools import partial
 
 import numpy as np
 
 from ..errors import ConfigError, NumericError, ShapeError
+from .pool import run, split
 from .tensor import Tensor
 
 # Adam sweeps each parameter in blocks of this many elements (512 rows of a
@@ -27,7 +30,7 @@ class ParameterStore:
         self._adam_m: dict[str, np.ndarray] = {}
         self._adam_v: dict[str, np.ndarray] = {}
         self.step_count = 0
-        self._buffer = np.empty(0)  # scratch for grad_norm and adam_step, see _scratch()
+        self._buffers = [np.empty(0)]  # scratch for grad_norm and adam_step, see _scratch()
 
     def add(self, name: str, shape: tuple[int, ...], rng, scale: float = 0.1) -> Tensor:
         """Create a parameter with uniform [-scale, scale] entries."""
@@ -61,16 +64,25 @@ class ParameterStore:
         for t in self._params.values():
             t.grad = None
 
-    def _scratch(self, size: int) -> np.ndarray:
-        """The first ``size`` elements of one float64 buffer the store reuses.
+    def _scratch(self, size: int, count: int = 1) -> list[np.ndarray]:
+        """``size`` elements of each of ``count`` float64 buffers the store
+        reuses, one for each piece of a sweep that runs at once.
 
-        It grows to the largest request, ``2 * ADAM_BLOCK`` once Adam has
-        run, and is never shrunk, so the optimizer's sweeps allocate nothing
-        after their first call.
+        Each grows to the largest request, ``2 * ADAM_BLOCK`` once Adam has
+        run, and none is shrunk or dropped, so the optimizer's sweeps
+        allocate nothing after their first call at a given worker count.
         """
-        if self._buffer.size < size:
-            self._buffer = np.empty(size)
-        return self._buffer[:size]
+        while len(self._buffers) < count:
+            self._buffers.append(np.empty(0))
+        for i in range(count):
+            if self._buffers[i].size < size:
+                self._buffers[i] = np.empty(size)
+        return [buf[:size] for buf in self._buffers[:count]]
+
+    @property
+    def _buffer(self) -> np.ndarray:
+        """The first scratch buffer, the one the calling thread sweeps with."""
+        return self._buffers[0]
 
     def grad_norm(self, scale: float = 1.0) -> float:
         """Global L2 norm of the gradients divided by ``scale``.
@@ -79,31 +91,15 @@ class ParameterStore:
         (see ``_sum_squares``). A sum of squares that overflows gives ``inf``
         without a warning.
         """
+        grads = [(name, t.grad) for name, t in self._params.items() if t.grad is not None]
+        for name, _ in grads:
+            _check_grad_shape(name, self._params[name])
+        buffers = self._scratch(ADAM_BLOCK, split(max((g.size for _, g in grads), default=0), 2))
         total = 0.0
         with np.errstate(over="ignore"):
-            for name, t in self._params.items():
-                if t.grad is None:
-                    continue
-                _check_grad_shape(name, t)
-                total += self._sum_squares(t.grad.reshape(-1), scale)
+            for _, g in grads:
+                total += _sum_squares(g.reshape(-1), scale, buffers)
         return float(np.sqrt(total))
-
-    def _sum_squares(self, g: np.ndarray, scale: float) -> float:
-        """``((g / scale) ** 2).sum()`` of a flat array, squared at most
-        ``ADAM_BLOCK`` elements at a time into the reused buffer.
-
-        numpy sums pairwise, splitting n elements at
-        ``n//2 - (n//2) % 8``; splitting at the same points makes each
-        piece's sum one subtree of the whole array's, so the bits agree.
-        """
-        n = g.size
-        if n > ADAM_BLOCK:
-            half = n // 2 - (n // 2) % 8
-            return self._sum_squares(g[:half], scale) + self._sum_squares(g[half:], scale)
-        buf = self._scratch(n)
-        if scale != 1.0:
-            g = np.divide(g, scale, out=buf)
-        return float(np.multiply(g, g, out=buf).sum())
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
@@ -131,6 +127,30 @@ class ParameterStore:
         for k in self._params:
             self._adam_m[k] = np.ascontiguousarray(state["m"][k], dtype=np.float64)
             self._adam_v[k] = np.ascontiguousarray(state["v"][k], dtype=np.float64)
+
+
+def _sum_squares(g: np.ndarray, scale: float, buffers: list[np.ndarray]) -> float:
+    """``((g / scale) ** 2).sum()`` of a flat array, squared at most
+    ``ADAM_BLOCK`` elements at a time into a reused buffer.
+
+    numpy sums pairwise, splitting n elements at ``n//2 - (n//2) % 8``;
+    splitting at the same points makes each piece's sum one subtree of the
+    whole array's, so the bits agree. Given two buffers, the two top-level
+    halves of a long enough array are summed at once, each into its own.
+    """
+    n = g.size
+    if n <= ADAM_BLOCK:
+        buf = buffers[0][:n]
+        if scale != 1.0:
+            g = np.divide(g, scale, out=buf)
+        return float(np.multiply(g, g, out=buf).sum())
+    half = n // 2 - (n // 2) % 8
+    if len(buffers) > 1 and split(n, 2) > 1:
+        left, right = run([partial(_sum_squares, g[:half], scale, buffers[:1]),
+                           partial(_sum_squares, g[half:], scale, buffers[1:2])])
+    else:
+        left, right = _sum_squares(g[:half], scale, buffers), _sum_squares(g[half:], scale, buffers)
+    return left + right
 
 
 def _check_grad_shape(name: str, t: Tensor) -> None:
@@ -182,32 +202,38 @@ def adam_step(
     an update like any other, so the moments decay and a nonzero first
     moment still moves the value.
 
-    The update runs in place, ``ADAM_BLOCK`` elements at a time, through two
-    block-sized halves of the store's scratch buffer. Every step is
-    elementwise and in the order of ``m = b1*m + (1-b1)*g``,
+    The update runs in place, ``ADAM_BLOCK`` elements at a time, each block
+    through two block-sized halves of a scratch buffer of the store. Every
+    step is elementwise and in the order of ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + ((1-b2)*g)*g``, ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``,
-    so the result has the same bits as that whole-array expression.
+    so the result has the same bits as that whole-array expression, whichever
+    thread updates a block. A large enough sweep runs on every CPU (see
+    ``pool``): each thread takes the next block not yet taken, so a thread
+    slowed by other work takes fewer, and sweeps through its own buffer.
     """
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
     if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
         raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
-    for name, p in store.items():
-        if p.grad is not None:
-            _check_grad_shape(name, p)
+    live = [(name, p) for name, p in store.items() if p.grad is not None]
+    for name, p in live:
+        _check_grad_shape(name, p)
     store.step_count += 1
     t = store.step_count
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    scratch = store._scratch(2 * ADAM_BLOCK)
-    for name, p in store.items():
-        if p.grad is None:
-            continue
-        flat_p, flat_g = p.data.reshape(-1), p.grad.reshape(-1)
-        flat_m, flat_v = store._adam_m[name].reshape(-1), store._adam_v[name].reshape(-1)
-        for lo in range(0, flat_p.size, ADAM_BLOCK):
-            block = slice(lo, lo + ADAM_BLOCK)
-            pb, g, m, v = flat_p[block], flat_g[block], flat_m[block], flat_v[block]
+    flats = [(p.data.reshape(-1), p.grad.reshape(-1), store._adam_m[name].reshape(-1),
+              store._adam_v[name].reshape(-1)) for name, p in live]
+    blocks = [(flat, slice(lo, lo + ADAM_BLOCK)) for flat in flats for lo in range(0, flat[0].size, ADAM_BLOCK)]
+    todo, lock = iter(blocks), threading.Lock()
+
+    def sweep(scratch: np.ndarray) -> None:
+        while True:
+            with lock:
+                flat, block = next(todo, (None, None))
+            if flat is None:
+                return
+            pb, g, m, v = (a[block] for a in flat)
             a, b = scratch[: pb.size], scratch[ADAM_BLOCK : ADAM_BLOCK + pb.size]
             m *= beta1
             m += np.multiply(1.0 - beta1, g, out=a)
@@ -216,3 +242,6 @@ def adam_step(
             np.multiply(lr, np.divide(m, bc1, out=a), out=a)
             np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), eps, out=b)
             pb -= np.divide(a, b, out=a)
+
+    count = split(sum(p.data.size for _, p in live), len(blocks))
+    run([partial(sweep, scratch) for scratch in store._scratch(2 * ADAM_BLOCK, count)])

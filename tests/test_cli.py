@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -17,7 +18,8 @@ from seq2label.checkpoint import load_checkpoint, save_checkpoint
 from seq2label.cli import RunConfig, main, read_config_file
 from seq2label.corpus import LabelVocabulary, Vocabulary, write_jsonl
 from seq2label.errors import ConfigError, NumericError
-from seq2label.model import ModelConfig
+from seq2label.model import ModelConfig, Seq2LabelModel
+from seq2label.numerics import RngStream, pool
 from seq2label.trainer import TrainConfig
 
 # a child process imports this checkout's library, as the tests themselves do
@@ -787,3 +789,27 @@ def test_console_script_installed():
     assert proc.returncode == 1  # no subcommand is a usage error
     assert "error:" in proc.stderr
     assert "No module named" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_train_exits_cleanly_with_the_sweep_pool_running(tmp_path):
+    # the default model's Adam sweep is long enough to split, so on two CPUs
+    # or more the pool's threads are running when the command returns
+    model = Seq2LabelModel(ModelConfig(), 40, 5, RngStream(0))
+    assert sum(t.data.size for _, t in model.params.items()) >= pool.SPLIT_MIN
+    train, ckpt = tmp_path / "t.jsonl", tmp_path / "m.ckpt"
+    write_jsonl(str(train), synthetic.memorization_corpus(0)[:8])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "seq2label", "train", "--train", str(train), "--checkpoint", str(ckpt),
+         "--epochs", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHILD_ENV, start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 0, err
+    assert ckpt.exists()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # no process of its session is left

@@ -18,6 +18,7 @@ from seq2label.numerics import (
     lstm_cell_step,
     lstm_sequence,
 )
+from seq2label.numerics import lstm, pool
 from seq2label.numerics.lstm import _by_direction
 from seq2label.trainer import sequence_loss
 
@@ -298,6 +299,20 @@ class TestBidirectional:
         assert np.array_equal(out.data, joined.data)
         for name, a, b in zip(("xs", "fwd.wx", "fwd.wh", "fwd.b", "bwd.wx", "bwd.wh", "bwd.b"), one, two):
             assert np.array_equal(a.grad, b.grad), name
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("lengths", [[40], [9, 1, 40, 6, 6, 1, 17], [160, 150, 170, 140]],
+                             ids=["40", "packed-long", "batch-of-160"])
+    def test_gradients_do_not_depend_on_the_worker_count(self, lengths, count, monkeypatch):
+        # the two directions' gradient products run at once from two workers
+        # up: a batch of 620 rows splits as it is, shorter ones with SPLIT_MIN at 0
+        monkeypatch.setattr(pool, "workers", lambda: count)
+        if sum(lengths) < 620:
+            monkeypatch.setattr(pool, "SPLIT_MIN", 0)
+        calls = []
+        monkeypatch.setattr(lstm, "run", lambda pieces: calls.append(len(pieces)) or pool.run(pieces))
+        self.test_equals_two_directions_joined(lengths, 64)
+        assert calls == ([2] if count > 1 else [])
 
     @pytest.mark.parametrize("lengths", [[4], [3, 1, 4, 1]], ids=["lone", "packed"])
     def test_gradients_match_finite_differences(self, lengths):

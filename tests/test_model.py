@@ -254,6 +254,17 @@ class TestDecoderInvariants:
                 m.advance(state, bad if rows is None else np.array([0, bad]))
         assert m.advance(state, classes - 1 if rows is None else np.array([0, classes - 1])).mask is not state.mask
 
+    @pytest.mark.parametrize("use_mask", [True, False], ids=["mask", "no-mask"])
+    @pytest.mark.parametrize("ge_mode", ["gate", "lambda"])
+    def test_blend_modes_range_check_each_class(self, ge_mode, use_mask):
+        # the blends gather the previous class's label row unchecked too
+        m = tiny_model(ge_mode=ge_mode, use_mask=use_mask)
+        state = m.decoder_step(m.init_state(2), m.encode(np.array([2, 3])))[0]
+        with pytest.raises(NumericError, match="out of range"):
+            m.advance(state, np.array([0, -1]))
+        step = m.decoder_step(m.advance(state, np.array([0, 1])), m.encode(np.array([2, 3])))[1]
+        assert np.all(np.isfinite(step.data))
+
 
 class TestPreviousLabelModes:
     def drive(self, m: Seq2LabelModel, classes):

@@ -1,6 +1,8 @@
 """Parameter store, Adam, and gradient clipping."""
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -9,6 +11,7 @@ import pytest
 
 from seq2label.errors import ConfigError, NumericError, ShapeError
 from seq2label.numerics import ParameterStore, RngStream, adam_step, clip_gradients
+from seq2label.numerics import params, pool
 from seq2label.numerics.params import ADAM_BLOCK
 
 
@@ -286,3 +289,79 @@ class TestClip:
         store["w"].grad = np.ones(2)
         with pytest.raises(ConfigError):
             clip_gradients(store, 0.0)
+
+
+@pytest.fixture(params=[1, 2, 3])
+def worker_count(request, monkeypatch):
+    """The sweeps' worker count set to 1, 2 and 3, whatever the host has;
+    returns it with the list of piece counts ``params.run`` is given."""
+    monkeypatch.setattr(pool, "workers", lambda: request.param)
+    calls = []
+    monkeypatch.setattr(params, "run", lambda pieces: calls.append(len(pieces)) or pool.run(pieces))
+    return request.param, calls
+
+
+class TestWorkerCount:
+    """The optimizer's sweeps give the same bits at every worker count."""
+
+    def test_adam_bits_do_not_depend_on_it(self, worker_count):
+        count, calls = worker_count
+        TestAdam().test_bitwise_equal_to_whole_array_update()
+        assert max(calls) == count  # the sweeps over every shape did split
+
+    @pytest.mark.parametrize("max_norm", [10.0, 1e-3, 1e6])
+    def test_clip_bits_do_not_depend_on_it(self, worker_count, max_norm):
+        count, calls = worker_count
+        TestClip().test_bitwise_equal_to_whole_array_clip(max_norm)
+        assert calls == ([2] if count > 1 else [])  # the table's halves, at once
+
+    def test_buffers_are_kept_between_calls(self, worker_count):
+        count, _ = worker_count
+        store = make_store({"table": np.zeros((50002, 64))})
+        store["table"].grad = np.random.default_rng(0).normal(size=(50002, 64))
+        clip_gradients(store, 1.0)
+        adam_step(store)
+        kept = [id(b) for b in store._buffers]
+        assert len(kept) == count and all(b.size == 2 * ADAM_BLOCK for b in store._buffers)
+        clip_gradients(store, 1.0)
+        adam_step(store)
+        assert [id(b) for b in store._buffers] == kept
+
+    def test_many_threads_update_every_block_once(self, monkeypatch):
+        # more threads than CPUs, switching as often as the interpreter allows:
+        # a block updated twice or skipped would move the weights off the oracle
+        monkeypatch.setattr(pool, "workers", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rng = np.random.default_rng(5)
+            shapes = [(ADAM_BLOCK // 4,)] * 40 + [(3, ADAM_BLOCK + 7)]
+            store = make_store({f"p{i}": rng.normal(size=s) for i, s in enumerate(shapes)})
+            oracle = [[store[f"p{i}"].data.copy(), np.zeros(s), np.zeros(s)] for i, s in enumerate(shapes)]
+            for step in (1, 2, 3):
+                for i, s in enumerate(shapes):
+                    g = rng.normal(size=s)
+                    store[f"p{i}"].grad = g
+                    p, m, v = oracle[i]
+                    whole_array_adam(p, g, m, v, step, 0.001, 0.9, 0.999, 1e-8)
+                done = threading.Thread(target=adam_step, args=(store,))
+                done.start()
+                done.join(timeout=60)
+                assert not done.is_alive()
+                for i, (p, m, v) in enumerate(oracle):
+                    assert np.array_equal(store[f"p{i}"].data, p), (i, step)
+                    assert np.array_equal(store._adam_m[f"p{i}"], m), (i, step)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestWorkerErrors:
+    def test_errstate_reaches_the_pool_threads(self, sweeps_on_pool_threads):
+        # a pool thread without the caller's errstate would only warn
+        store = make_store({"table": np.zeros((4 * ADAM_BLOCK,))})
+        store["table"].grad = np.full(4 * ADAM_BLOCK, 10.0)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                adam_step(store, lr=1e308)
+        # the pool is free again: a later sweep runs and keeps its bits
+        TestAdam().test_bitwise_equal_to_whole_array_update()

@@ -10,7 +10,7 @@ from seq2label import corpus, synthetic, trainer
 from seq2label.corpus import LabelVocabulary, Vocabulary
 from seq2label.errors import ConfigError, NumericError
 from seq2label.model import ModelConfig, Seq2LabelModel
-from seq2label.numerics import RngStream
+from seq2label.numerics import RngStream, clip_gradients
 from seq2label.trainer import TrainConfig, decoder_losses, fit, sequence_loss, train_epoch
 
 
@@ -149,6 +149,33 @@ class TestTrainEpoch:
         batches = corpus.make_batches(framed, batch_size=2)
         with pytest.raises(NumericError, match="batch 0"):
             train_epoch(m, batches, TrainConfig(), RngStream(0))
+
+
+    def test_overflow_in_a_pool_thread_names_the_batch(self, monkeypatch, sweeps_on_pool_threads):
+        # a gradient of 10 on the token table in place of clipping: at lr 1e308
+        # its update overflows on the pool threads, under the batch's errstate,
+        # and must raise there, not warn
+        records = synthetic.memorization_corpus(0)[:2]
+        examples, vocab, lv = build_corpus(records)
+        m = Seq2LabelModel(ModelConfig(embed_size=64, encoder_hidden=4, decoder_hidden=4),
+                           4 * 1024, len(lv), RngStream(0))
+
+        def plant(store, max_norm):
+            store["embed.tokens"].grad[:] = 10.0
+            return 1.0
+
+        monkeypatch.setattr(trainer, "clip_gradients", plant)
+        framed = [
+            (ex.token_ids, corpus.frame_labels(corpus.sort_labels(ex.label_ids, lv), lv))
+            for ex in examples
+        ]
+        batches = corpus.make_batches(framed, batch_size=2)
+        with pytest.raises(NumericError, match="overflow .* in batch 0"):
+            train_epoch(m, batches, TrainConfig(learning_rate=1e308), RngStream(0))
+        # the pool is free again: a fresh model's sweep runs
+        monkeypatch.setattr(trainer, "clip_gradients", clip_gradients)
+        m = Seq2LabelModel(m.config, m.vocab_size, m.num_labels, RngStream(0))
+        assert math.isfinite(train_epoch(m, batches, TrainConfig(), RngStream(0)))
 
 
 class TestPadding:
