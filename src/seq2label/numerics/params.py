@@ -91,15 +91,31 @@ class ParameterStore:
         (see ``_sum_squares``). A sum of squares that overflows gives ``inf``
         without a warning.
         """
-        grads = [(name, t.grad) for name, t in self._params.items() if t.grad is not None]
-        for name, _ in grads:
-            _check_grad_shape(name, self._params[name])
-        buffers = self._scratch(ADAM_BLOCK, split(max((g.size for _, g in grads), default=0), 2))
         total = 0.0
         with np.errstate(over="ignore"):
-            for _, g in grads:
-                total += _sum_squares(g.reshape(-1), scale, buffers)
+            for name, t in self._params.items():
+                if t.grad is None:
+                    continue
+                _check_grad_shape(name, t)
+                total += self._sum_squares(t.grad.reshape(-1), scale)
         return float(np.sqrt(total))
+
+    def _sum_squares(self, g: np.ndarray, scale: float) -> float:
+        """``((g / scale) ** 2).sum()`` of a flat array, squared at most
+        ``ADAM_BLOCK`` elements at a time into the first reused buffer.
+
+        numpy sums pairwise, splitting n elements at
+        ``n//2 - (n//2) % 8``; splitting at the same points makes each
+        piece's sum one subtree of the whole array's, so the bits agree.
+        """
+        n = g.size
+        if n > ADAM_BLOCK:
+            half = n // 2 - (n // 2) % 8
+            return self._sum_squares(g[:half], scale) + self._sum_squares(g[half:], scale)
+        buf = self._scratch(n)[0]
+        if scale != 1.0:
+            g = np.divide(g, scale, out=buf)
+        return float(np.multiply(g, g, out=buf).sum())
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
@@ -127,30 +143,6 @@ class ParameterStore:
         for k in self._params:
             self._adam_m[k] = np.ascontiguousarray(state["m"][k], dtype=np.float64)
             self._adam_v[k] = np.ascontiguousarray(state["v"][k], dtype=np.float64)
-
-
-def _sum_squares(g: np.ndarray, scale: float, buffers: list[np.ndarray]) -> float:
-    """``((g / scale) ** 2).sum()`` of a flat array, squared at most
-    ``ADAM_BLOCK`` elements at a time into a reused buffer.
-
-    numpy sums pairwise, splitting n elements at ``n//2 - (n//2) % 8``;
-    splitting at the same points makes each piece's sum one subtree of the
-    whole array's, so the bits agree. Given two buffers, the two top-level
-    halves of a long enough array are summed at once, each into its own.
-    """
-    n = g.size
-    if n <= ADAM_BLOCK:
-        buf = buffers[0][:n]
-        if scale != 1.0:
-            g = np.divide(g, scale, out=buf)
-        return float(np.multiply(g, g, out=buf).sum())
-    half = n // 2 - (n // 2) % 8
-    if len(buffers) > 1 and split(n, 2) > 1:
-        left, right = run([partial(_sum_squares, g[:half], scale, buffers[:1]),
-                           partial(_sum_squares, g[half:], scale, buffers[1:2])])
-    else:
-        left, right = _sum_squares(g[:half], scale, buffers), _sum_squares(g[half:], scale, buffers)
-    return left + right
 
 
 def _check_grad_shape(name: str, t: Tensor) -> None:

@@ -1,13 +1,17 @@
 """One thread pool for the independent pieces of training's sweeps.
 
-Adam, the gradient norm and the encoder's per-direction gradient products
-spend their time in numpy and BLAS calls that release the interpreter lock,
-so their pieces run at once on the CPUs the process may use. Each piece
-does the arithmetic it would do on the calling thread, and ``run`` returns
-the results in piece order, so a sweep keeps its bits at any worker count.
-The pool is started by the first sweep that splits, never on import; a
-process confined to one CPU (``taskset -c 0``) runs every sweep on the
-calling thread.
+Adam and the encoder's per-direction gradient products spend their time in
+numpy and BLAS calls that release the interpreter lock, so their pieces run
+at once on the CPUs the process may use. Each piece does the arithmetic it
+would do on the calling thread, and ``run`` returns the results in piece
+order, so a sweep keeps its bits at any worker count. The pool is started by
+the first sweep that splits, never on import; a process confined to one CPU
+(``taskset -c 0``) runs every sweep on the calling thread.
+
+The pieces gain only when BLAS runs one thread (``OPENBLAS_NUM_THREADS=1``):
+OpenBLAS's own threads keep spinning on the other CPUs for a while after
+each product, so with BLAS at its default thread count a sweep that follows
+the backward's products finds no CPU free.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 
@@ -56,18 +62,26 @@ def _executor(threads: int) -> ThreadPoolExecutor:
         return _pool
 
 
+def _under(handling: dict, piece: Callable[[], T]) -> T:
+    with np.errstate(**handling):
+        return piece()
+
+
 def run(pieces: Sequence[Callable[[], T]]) -> list[T]:
     """Call each of ``pieces`` at once and return their results in order.
 
     The first piece runs on the calling thread and each other one on a pool
-    thread, in a copy of the caller's context taken here, so it sees the
-    caller's ``np.errstate``. Every piece has finished when this returns or
-    raises; the exception raised is the first piece's, in piece order.
+    thread, in a copy of the caller's context taken here and under the
+    caller's ``np.errstate``, which the copy alone does not carry before
+    numpy 2.0 (numpy 1.x keeps it per thread). Every piece has finished when
+    this returns or raises; the exception raised is the first piece's, in
+    piece order.
     """
     if len(pieces) == 1:
         return [pieces[0]()]
     pool = _executor(len(pieces) - 1)
-    futures = [pool.submit(contextvars.copy_context().run, piece) for piece in pieces[1:]]
+    handling = dict(np.geterr(), call=np.geterrcall())
+    futures = [pool.submit(contextvars.copy_context().run, _under, handling, piece) for piece in pieces[1:]]
     try:
         first = pieces[0]()
     finally:

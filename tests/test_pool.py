@@ -1,5 +1,6 @@
 """The sweeps' thread pool: order, errors, the caller's errstate, and when it starts."""
 
+import contextvars
 import json
 import os
 import subprocess
@@ -28,6 +29,16 @@ class TestRun:
     def test_errstate_reaches_the_pool_threads(self):
         # the second piece always runs on a pool thread; without the caller's
         # context it would only warn
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                pool.run([lambda: 0.0, overflow])
+        with np.errstate(over="ignore"):
+            assert pool.run([lambda: 0.0, overflow]) == [0.0, np.inf]
+
+    def test_errstate_reaches_the_pool_threads_without_the_context(self, monkeypatch):
+        # numpy 1.x keeps errstate per thread, not in the context: a pool
+        # thread given an empty context must still raise
+        monkeypatch.setattr(pool.contextvars, "copy_context", contextvars.Context)
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
                 pool.run([lambda: 0.0, overflow])
