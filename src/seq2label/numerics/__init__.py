@@ -3,7 +3,7 @@
 from .gradcheck import finite_difference_check
 from .head import attention_head, masked_softmax
 from .lstm import add_lstm_params, bilstm_sequence, lstm_cell_step, lstm_sequence
-from .params import ParameterStore, adam_step, clip_gradients
+from .params import ParameterStore, adam_step, clip_gradients, early_adam_step
 from .rng import RngStream
 from .tensor import (
     Tensor,
@@ -27,6 +27,7 @@ __all__ = [
     "clip_gradients",
     "concat",
     "dropout",
+    "early_adam_step",
     "finite_difference_check",
     "lstm_cell_step",
     "lstm_sequence",

@@ -4,18 +4,29 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
+from concurrent.futures import wait
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
 
 from ..errors import ConfigError, NumericError, ShapeError
-from .pool import run, split
+from .pool import run, split, start
 from .tensor import Tensor
 
 # Adam sweeps each parameter in blocks of this many elements (512 rows of a
 # 64-wide embedding table): a block and two block-sized scratch arrays
 # (256 KiB each) stay in cache through all of the update's elementwise steps.
 ADAM_BLOCK = 32_768
+
+# The early update (``early_adam_step``) steps runs of up to this many
+# consecutive unreached blocks per numpy call. Fewer, longer calls take the
+# interpreter lock from the calling thread's forward pass less often. On a
+# 2-vCPU host, pinned train_longdoc ran 124 docs/s with one block per call
+# against 137 with four (4 of 4 pairs); two and eight ran as fast as four,
+# and two keeps the update's scratch buffer at 1 MiB.
+EARLY_RUN = 2
 
 
 class ParameterStore:
@@ -31,6 +42,7 @@ class ParameterStore:
         self._adam_v: dict[str, np.ndarray] = {}
         self.step_count = 0
         self._buffers = [np.empty(0)]  # scratch for grad_norm and adam_step, see _scratch()
+        self._reach: _Reach | None = None  # set by early_adam_step for one step
 
     def add(self, name: str, shape: tuple[int, ...], rng, scale: float = 0.1) -> Tensor:
         """Create a parameter with uniform [-scale, scale] entries."""
@@ -64,20 +76,22 @@ class ParameterStore:
         for t in self._params.values():
             t.grad = None
 
-    def _scratch(self, size: int, count: int = 1) -> list[np.ndarray]:
+    def _scratch(self, size: int, count: int = 1, first: int = 0) -> list[np.ndarray]:
         """``size`` elements of each of ``count`` float64 buffers the store
-        reuses, one for each piece of a sweep that runs at once.
+        reuses from buffer ``first`` on, one for each piece of a sweep that
+        runs at once.
 
         Each grows to the largest request, ``2 * ADAM_BLOCK`` once Adam has
-        run, and none is shrunk or dropped, so the optimizer's sweeps
+        run (the second ``2 * EARLY_RUN * ADAM_BLOCK`` once an early step
+        has), and none is shrunk or dropped, so the optimizer's sweeps
         allocate nothing after their first call at a given worker count.
         """
-        while len(self._buffers) < count:
+        while len(self._buffers) < first + count:
             self._buffers.append(np.empty(0))
-        for i in range(count):
+        for i in range(first, first + count):
             if self._buffers[i].size < size:
                 self._buffers[i] = np.empty(size)
-        return [buf[:size] for buf in self._buffers[:count]]
+        return [buf[:size] for buf in self._buffers[first : first + count]]
 
     @property
     def _buffer(self) -> np.ndarray:
@@ -88,8 +102,9 @@ class ParameterStore:
         """Global L2 norm of the gradients divided by ``scale``.
 
         Each gradient's squares sum to the same bits as ``(g * g).sum()``
-        (see ``_sum_squares``). A sum of squares that overflows gives ``inf``
-        without a warning.
+        (see ``_sum_squares``); inside ``early_adam_step`` the table's
+        subtrees that hold no reached row are not squared. A sum of squares
+        that overflows gives ``inf`` without a warning.
         """
         total = 0.0
         with np.errstate(over="ignore"):
@@ -97,21 +112,27 @@ class ParameterStore:
                 if t.grad is None:
                     continue
                 _check_grad_shape(name, t)
-                total += self._sum_squares(t.grad.reshape(-1), scale)
+                reach = self._reach if self._reach is not None and self._reach.name == name else None
+                total += self._sum_squares(t.grad.reshape(-1), scale, 0, reach)
         return float(np.sqrt(total))
 
-    def _sum_squares(self, g: np.ndarray, scale: float) -> float:
+    def _sum_squares(self, g: np.ndarray, scale: float, lo: int = 0, reach: _Reach | None = None) -> float:
         """``((g / scale) ** 2).sum()`` of a flat array, squared at most
         ``ADAM_BLOCK`` elements at a time into the first reused buffer.
 
         numpy sums pairwise, splitting n elements at
         ``n//2 - (n//2) % 8``; splitting at the same points makes each
         piece's sum one subtree of the whole array's, so the bits agree.
+        ``g`` starts at element ``lo`` of the gradient ``reach`` describes:
+        a subtree that holds none of its rows is 0.0 without a pass, which
+        is exact, since squares are never negative and ``x + 0.0 == x``.
         """
         n = g.size
+        if reach is not None and not reach.reaches(lo, lo + n):
+            return 0.0
         if n > ADAM_BLOCK:
             half = n // 2 - (n // 2) % 8
-            return self._sum_squares(g[:half], scale) + self._sum_squares(g[half:], scale)
+            return self._sum_squares(g[:half], scale, lo, reach) + self._sum_squares(g[half:], scale, lo + half, reach)
         buf = self._scratch(n)[0]
         if scale != 1.0:
             g = np.divide(g, scale, out=buf)
@@ -150,6 +171,26 @@ def _check_grad_shape(name: str, t: Tensor) -> None:
         raise ShapeError(f"gradient of parameter {name!r} has shape {t.grad.shape}, expected {t.data.shape}")
 
 
+class _Reach:
+    """The rows of table ``name`` that one step's gradient reaches; every
+    other row's gradient is +0.0. ``hit[k]`` says whether Adam's block k of
+    the flat table holds a reached row. ``early`` is the running update of
+    the other blocks (a future), or None when ``adam_step`` updates them."""
+
+    def __init__(self, name: str, table: np.ndarray, rows, rule: tuple):
+        self.name, self.rule, self.early = name, rule, None
+        self.rows = np.unique(np.asarray(rows, dtype=np.int64)).tolist()
+        if self.rows and not 0 <= self.rows[0] <= self.rows[-1] < table.shape[0]:
+            raise ShapeError(f"rows of {name!r} must be within range for shape {table.shape}")
+        self.width = table.size // table.shape[0]
+        self.hit = [self.reaches(lo, lo + ADAM_BLOCK) for lo in range(0, table.size, ADAM_BLOCK)]
+
+    def reaches(self, lo: int, hi: int) -> bool:
+        """Whether elements ``lo:hi`` of the flat table hold a reached row."""
+        i = bisect_left(self.rows, lo // self.width)
+        return i < len(self.rows) and self.rows[i] * self.width < hi
+
+
 def clip_gradients(store: ParameterStore, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
@@ -157,6 +198,8 @@ def clip_gradients(store: ParameterStore, max_norm: float) -> float:
     bound; the small tolerance keeps a second clip from rescaling a result
     that sits on the boundary only because of rounding. A non-finite gradient
     raises NumericError naming its parameter before anything is scaled.
+    Inside ``early_adam_step`` the table's blocks that hold no reached row
+    stay +0.0 without a pass.
     """
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
@@ -174,10 +217,53 @@ def clip_gradients(store: ParameterStore, max_norm: float) -> float:
     if norm * scale <= max_norm * (1.0 + 1e-12):
         return 1.0
     factor = max_norm / norm / scale
-    for t in store._params.values():
-        if t.grad is not None:
+    reach = store._reach
+    for name, t in store.items():
+        if t.grad is None:
+            continue
+        if reach is None or reach.name != name:
             t.grad *= factor
+            continue
+        flat = t.grad.reshape(-1)
+        for k, hit in enumerate(reach.hit):
+            if hit:
+                flat[k * ADAM_BLOCK : (k + 1) * ADAM_BLOCK] *= factor
     return factor
+
+
+def _rule(t: int, lr: float, beta1: float, beta2: float, eps: float) -> tuple[float, ...]:
+    """Adam's constants at step ``t``, the trailing arguments of ``_update``."""
+    if lr <= 0:
+        raise ConfigError(f"learning rate must be positive, got {lr}")
+    if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
+        raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
+    return lr, beta1, beta2, eps, 1.0 - beta1 ** t, 1.0 - beta2 ** t
+
+
+def _update(p, g, m, v, scratch, lr, beta1, beta2, eps, bc1, bc2) -> None:
+    """Adam's update of one run of elements in place, through the first
+    ``2 * p.size`` elements of ``scratch``.
+
+    Every step is elementwise and in the order of ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + ((1-b2)*g)*g``, ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``,
+    so the result has the bits of that whole-array expression. ``g`` None
+    is a gradient of +0.0, whose rule has the same bits in ten of the
+    fourteen passes: ``m = b1*m + 0.0`` (the add turns -0.0 into +0.0, as
+    adding ``(1-b1)*0.0`` does) and ``v = b2*v`` (``v`` is a sum of squares
+    from +0.0, never negative or -0.0, so adding +0.0 changes no bit).
+    """
+    a, b = scratch[: p.size], scratch[p.size : 2 * p.size]
+    m *= beta1
+    if g is None:
+        m += 0.0
+        v *= beta2
+    else:
+        m += np.multiply(1.0 - beta1, g, out=a)
+        v *= beta2
+        v += np.multiply(np.multiply(1.0 - beta2, g, out=a), g, out=a)
+    np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), eps, out=b)
+    p -= np.divide(a, b, out=a)
 
 
 def adam_step(
@@ -195,45 +281,106 @@ def adam_step(
     moment still moves the value.
 
     The update runs in place, ``ADAM_BLOCK`` elements at a time, each block
-    through two block-sized halves of a scratch buffer of the store. Every
-    step is elementwise and in the order of ``m = b1*m + (1-b1)*g``,
-    ``v = b2*v + ((1-b2)*g)*g``, ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``,
-    so the result has the same bits as that whole-array expression, whichever
-    thread updates a block. A large enough sweep runs on every CPU (see
-    ``pool``): each thread takes the next block not yet taken, so a thread
-    slowed by other work takes fewer, and sweeps through its own buffer.
+    through two block-sized halves of a scratch buffer of the store (see
+    ``_update``), so the result has the same bits as the whole-array
+    expression, whichever thread updates a block. A large enough sweep runs
+    on every CPU (see ``pool``): each thread takes the next block not yet
+    taken, so a thread slowed by other work takes fewer, and sweeps through
+    its own buffer. Inside ``early_adam_step``, which must have been given
+    the same hyperparameters, this first waits for the early update of the
+    table's unreached blocks and raises its error, or, when none was
+    started, updates those blocks by the zero-gradient rule with the rest.
     """
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
-    if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
-        raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
     live = [(name, p) for name, p in store.items() if p.grad is not None]
+    rule = _rule(store.step_count + 1, lr, beta1, beta2, eps)
     for name, p in live:
         _check_grad_shape(name, p)
+    reach, store._reach = store._reach, None
+    if reach is not None and reach.rule != rule:
+        raise ConfigError(f"adam_step at step {store.step_count + 1} got {rule[:4]}, its early step {reach.rule[:4]}")
     store.step_count += 1
-    t = store.step_count
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    flats = [(p.data.reshape(-1), p.grad.reshape(-1), store._adam_m[name].reshape(-1),
-              store._adam_v[name].reshape(-1)) for name, p in live]
-    blocks = [(flat, slice(lo, lo + ADAM_BLOCK)) for flat in flats for lo in range(0, flat[0].size, ADAM_BLOCK)]
+    if reach is not None and reach.early is not None:
+        reach.early.result()
+    blocks, size = [], 0
+    for name, p in live:
+        flat = (p.data.reshape(-1), p.grad.reshape(-1), store._adam_m[name].reshape(-1),
+                store._adam_v[name].reshape(-1))
+        n = flat[0].size
+        for k, lo in enumerate(range(0, n, ADAM_BLOCK)):
+            dense = reach is None or reach.name != name or reach.hit[k]
+            if dense or reach.early is None:
+                blocks.append((flat, slice(lo, lo + ADAM_BLOCK), dense))
+                size += min(n - lo, ADAM_BLOCK)
     todo, lock = iter(blocks), threading.Lock()
 
     def sweep(scratch: np.ndarray) -> None:
         while True:
             with lock:
-                flat, block = next(todo, (None, None))
+                flat, block, dense = next(todo, (None, None, None))
             if flat is None:
                 return
             pb, g, m, v = (a[block] for a in flat)
-            a, b = scratch[: pb.size], scratch[ADAM_BLOCK : ADAM_BLOCK + pb.size]
-            m *= beta1
-            m += np.multiply(1.0 - beta1, g, out=a)
-            v *= beta2
-            v += np.multiply(np.multiply(1.0 - beta2, g, out=a), g, out=a)
-            np.multiply(lr, np.divide(m, bc1, out=a), out=a)
-            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), eps, out=b)
-            pb -= np.divide(a, b, out=a)
+            _update(pb, g if dense else None, m, v, scratch, *rule)
 
-    count = split(sum(p.data.size for _, p in live), len(blocks))
+    count = split(size, len(blocks))
     run([partial(sweep, scratch) for scratch in store._scratch(2 * ADAM_BLOCK, count)])
+
+
+@contextmanager
+def early_adam_step(
+    store: ParameterStore,
+    name: str,
+    rows,
+    lr: float = 0.001,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+):
+    """Within this block, the next step's gradient of the table ``name`` is
+    +0.0 in every row not in ``rows``; start that step's update of those rows.
+
+    The table's blocks of ``ADAM_BLOCK`` elements that hold none of ``rows``
+    take the zero-gradient rule of ``_update`` at step
+    ``store.step_count + 1``, with these hyperparameters, which the
+    ``adam_step`` inside the block must be given too. When they add up to
+    ``SPLIT_MIN`` elements or more and the process may use more than one
+    CPU, a pool thread updates them now, ``EARLY_RUN`` blocks per numpy
+    call, while the caller computes the gradient: it touches only those
+    blocks' values and moments, which a forward and backward that gather
+    ``rows`` never read. Otherwise ``adam_step`` updates them.
+    ``grad_norm`` and ``clip_gradients`` skip them. Every bit is that of the
+    dense update given the +0.0 gradient; a gradient that is not +0.0
+    outside ``rows`` is updated as if it were.
+
+    The block exits only once the early update has finished. A block left
+    by an error before ``adam_step`` leaves those blocks one step ahead of
+    the rest of the store.
+    """
+    table = store[name].data
+    reach = _Reach(name, table, rows, _rule(store.step_count + 1, lr, beta1, beta2, eps))
+    runs = []  # up to EARLY_RUN consecutive unreached blocks each
+    for k, hit in enumerate(reach.hit):
+        lo = k * ADAM_BLOCK
+        if hit:
+            continue
+        if runs and runs[-1].stop == lo and lo - runs[-1].start < EARLY_RUN * ADAM_BLOCK:
+            runs[-1] = slice(runs[-1].start, lo + ADAM_BLOCK)
+        else:
+            runs.append(slice(lo, lo + ADAM_BLOCK))
+    if split(sum(min(span.stop, table.size) - span.start for span in runs), 2) > 1:
+        # buffer 1: the calling thread's grad_norm squares into buffer 0 meanwhile
+        scratch = store._scratch(2 * EARLY_RUN * ADAM_BLOCK, 1, first=1)[0]
+        p, m, v = (a.reshape(-1) for a in (table, store._adam_m[name], store._adam_v[name]))
+
+        def update_runs() -> None:
+            for span in runs:
+                _update(p[span], None, m[span], v[span], scratch, *reach.rule)
+
+        reach.early = start(update_runs)
+    store._reach = reach
+    try:
+        yield
+    finally:
+        store._reach = None
+        if reach.early is not None:
+            wait([reach.early])

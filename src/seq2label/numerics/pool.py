@@ -4,9 +4,13 @@ Adam and the encoder's per-direction gradient products spend their time in
 numpy and BLAS calls that release the interpreter lock, so their pieces run
 at once on the CPUs the process may use. Each piece does the arithmetic it
 would do on the calling thread, and ``run`` returns the results in piece
-order, so a sweep keeps its bits at any worker count. The pool is started by
-the first sweep that splits, never on import; a process confined to one CPU
-(``taskset -c 0``) runs every sweep on the calling thread.
+order, so a sweep keeps its bits at any worker count. ``start`` hands the
+pool one piece without waiting: Adam's early update of the token table's
+unreached blocks, which runs beside a batch's forward and backward passes.
+Every piece runs in a copy of the caller's context, which carries its
+``np.errstate``. The pool is started by the first sweep that splits, never
+on import; a process confined to one CPU (``taskset -c 0``) runs every sweep
+on the calling thread.
 
 The pieces gain only when BLAS runs one thread (``OPENBLAS_NUM_THREADS=1``):
 OpenBLAS's own threads keep spinning on the other CPUs for a while after
@@ -19,10 +23,8 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, Sequence, TypeVar
-
-import numpy as np
 
 T = TypeVar("T")
 
@@ -62,28 +64,30 @@ def _executor(threads: int) -> ThreadPoolExecutor:
         return _pool
 
 
-def _under(handling: dict, piece: Callable[[], T]) -> T:
-    with np.errstate(**handling):
-        return piece()
-
-
 def run(pieces: Sequence[Callable[[], T]]) -> list[T]:
     """Call each of ``pieces`` at once and return their results in order.
 
     The first piece runs on the calling thread and each other one on a pool
-    thread, in a copy of the caller's context taken here and under the
-    caller's ``np.errstate``, which the copy alone does not carry before
-    numpy 2.0 (numpy 1.x keeps it per thread). Every piece has finished when
-    this returns or raises; the exception raised is the first piece's, in
-    piece order.
+    thread, in a copy of the caller's context taken here. Every piece has
+    finished when this returns or raises; the exception raised is the first
+    piece's, in piece order.
     """
     if len(pieces) == 1:
         return [pieces[0]()]
     pool = _executor(len(pieces) - 1)
-    handling = dict(np.geterr(), call=np.geterrcall())
-    futures = [pool.submit(contextvars.copy_context().run, _under, handling, piece) for piece in pieces[1:]]
+    futures = [pool.submit(contextvars.copy_context().run, piece) for piece in pieces[1:]]
     try:
         first = pieces[0]()
     finally:
         wait(futures)
     return [first] + [f.result() for f in futures]
+
+
+def start(piece: Callable[[], T]) -> Future:
+    """Begin ``piece`` on a pool thread, in a copy of the caller's context
+    taken here, and return its future at once; the caller must wait for it.
+
+    The pool keeps one thread beyond the ``workers() - 1`` that ``run``
+    hands pieces to, so a ``run`` while this piece goes still finds them.
+    """
+    return _executor(workers()).submit(contextvars.copy_context().run, piece)

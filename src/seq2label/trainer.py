@@ -11,7 +11,7 @@ from . import corpus, inference, metrics
 from .corpus import Batch, Example, LabelVocabulary
 from .errors import ConfigError, NumericError
 from .model import EncoderOutput, Seq2LabelModel
-from .numerics import RngStream, Tensor, adam_step, clip_gradients, concat
+from .numerics import RngStream, Tensor, adam_step, clip_gradients, concat, early_adam_step
 
 
 @dataclass
@@ -125,20 +125,34 @@ def train_epoch(
 ) -> float:
     """One pass over the batches; returns the mean per-example loss.
 
+    A batch gathers only its ``token_ids`` rows of the token table, so every
+    other row's gradient is +0.0: Adam's step of the blocks that hold none
+    of them runs beside the forward and backward passes
+    (``early_adam_step``), with the bits of the dense update.
+
     A floating-point overflow or invalid operation anywhere in a batch's
     forward, backward, clipping or Adam update is a diverging run: it raises
     NumericError naming the batch (``clip_gradients`` keeps its own
-    deliberate overflow of a sum of squares).
+    deliberate overflow of a sum of squares). A batch that raises leaves the
+    store part of the way through its step: its gradients may be clipped,
+    and some of Adam's blocks (the token table's unreached ones first) may
+    hold the step's new values and moments while the others do not, so the
+    store matches no whole step. Nothing of the batch is still running when
+    it raises.
     """
     total = 0.0
     count = 0
+    adam = (config.learning_rate, config.beta1, config.beta2, config.adam_eps)
     for bi, batch in enumerate(batches):
         model.params.zero_grads()
         try:
-            with np.errstate(over="raise", invalid="raise"):
+            with (
+                np.errstate(over="raise", invalid="raise"),
+                early_adam_step(model.params, "embed.tokens", batch.token_ids, *adam),
+            ):
                 total += _backward_batch(model, batch, bi, rng)
                 clip_gradients(model.params, config.clip_norm)
-                adam_step(model.params, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+                adam_step(model.params, *adam)
         except FloatingPointError as e:
             raise NumericError(f"{e} in batch {bi}") from None
         count += len(batch)

@@ -1,5 +1,6 @@
 """Parameter store, Adam, and gradient clipping."""
 
+import itertools
 import math
 import sys
 import threading
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from seq2label.errors import ConfigError, NumericError, ShapeError
-from seq2label.numerics import ParameterStore, RngStream, adam_step, clip_gradients
+from seq2label.numerics import ParameterStore, RngStream, adam_step, clip_gradients, early_adam_step
 from seq2label.numerics import params, pool
 from seq2label.numerics.params import ADAM_BLOCK
 
@@ -365,3 +366,90 @@ class TestWorkerErrors:
                 adam_step(store, lr=1e308)
         # the pool is free again: a later sweep runs and keeps its bits
         TestAdam().test_bitwise_equal_to_whole_array_update()
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal down to the sign of zero, which ``np.array_equal`` ignores."""
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
+
+
+# first moments and values of every kind: signed zeros, subnormals, normals
+SIGNED = [s * x for x in (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-8, 0.3, 7.0, 1e150) for s in (1.0, -1.0)]
+# second moments are sums of squares from +0.0: never negative, never -0.0
+SQUARES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-16, 0.09, 49.0]
+
+
+@pytest.fixture
+def early_starts(monkeypatch):
+    """The early updates ``early_adam_step`` hands the pool, counted."""
+    starts = []
+    monkeypatch.setattr(params, "start", lambda piece: starts.append(piece) or pool.start(piece))
+    return starts
+
+
+class TestEarlyStep:
+    """``early_adam_step``: the table's unreached blocks, updated on the pool
+    (two or three workers) or inside ``adam_step`` (one), keep the dense bits."""
+
+    @pytest.mark.parametrize("step", [1, 150])
+    def test_zero_gradient_rule_has_the_dense_bits(self, worker_count, early_starts, step):
+        count, _ = worker_count
+        m, v, p = (np.resize(a, (4096, 64)) for a in np.array(list(itertools.product(SIGNED, SQUARES, SIGNED))).T)
+        for a in (m, p):  # each combination's -0.0 and subnormals fall in the table
+            assert (np.signbit(a) & (a == 0.0)).any() and ((a != 0.0) & (np.abs(a) < 2.2250738585072014e-308)).any()
+        store = make_store({"table": p, "w": np.ones(5)})
+        store.load_adam_state({"step": step - 1, "m": {"table": m, "w": np.zeros(5)},
+                               "v": {"table": v, "w": np.zeros(5)}})
+        rows = [0, 511, 512, 3000]  # blocks 0, 1 and 5 of 8
+        g = np.zeros(p.shape)
+        g[rows] = np.random.default_rng(2).normal(size=(len(rows), 64))
+        hyper = dict(lr=0.003, beta1=0.85, beta2=0.995, eps=1e-7)
+        p, m, v = p.copy(), m.copy(), v.copy()
+        whole_array_adam(p, g, m, v, step, **hyper)
+        with early_adam_step(store, "table", rows, **hyper):
+            store["table"].grad = g
+            store["w"].grad = np.ones(5)
+            adam_step(store, **hyper)
+        state = store.adam_state()
+        assert same_bits(store["table"].data, p)
+        assert same_bits(state["m"]["table"], m)
+        assert same_bits(state["v"]["table"], v)
+        assert len(early_starts) == (count > 1)
+
+    def test_norm_and_clip_skip_unreached_blocks(self, worker_count):
+        rng = np.random.default_rng(3)
+        # 100 wide: rows 327 and 1310 alone reach blocks 0 and 1, and 3 and 4,
+        # across the blocks' edges; 2999 ends the last, short block
+        rows = [327, 1310, 2999]
+        for max_norm in (1e-3, 1e6):
+            g = np.zeros((3000, 100))
+            g[rows] = rng.normal(size=(len(rows), 100))
+            other = rng.normal(size=7)
+            store = make_store({"table": np.zeros(g.shape), "w": np.zeros(7)})
+            with early_adam_step(store, "table", rows):
+                store["table"].grad, store["w"].grad = g.copy(), other.copy()
+                assert store.grad_norm() == float(np.sqrt(float((g * g).sum()) + float((other * other).sum())))
+                expected = [g, other]
+                factor = clip_gradients(store, max_norm)
+                assert factor == whole_array_clip(expected, max_norm)
+                assert (factor < 1.0) == (max_norm < 1.0)
+                assert same_bits(store["table"].grad, g) and same_bits(store["w"].grad, other)
+                adam_step(store)
+
+    def test_a_table_no_row_reaches_adds_nothing(self):
+        # the table's gradient is never read: NaN there would poison any pass
+        other = np.random.default_rng(4).normal(size=7)
+        store = make_store({"table": np.zeros((3000, 100)), "w": np.zeros(7)})
+        with early_adam_step(store, "table", []):
+            store["table"].grad, store["w"].grad = np.full((3000, 100), np.nan), other.copy()
+            assert store.grad_norm() == float(np.sqrt(float((other * other).sum())))
+
+    def test_adam_step_must_match_the_early_step(self):
+        store = make_store({"table": np.zeros((3000, 100))})
+        store["table"].grad = np.zeros((3000, 100))
+        with early_adam_step(store, "table", [1], lr=0.01):
+            with pytest.raises(ConfigError, match="early step"):
+                adam_step(store, lr=0.02)
+        with pytest.raises(ShapeError, match="'table'"):
+            with early_adam_step(store, "table", [3000]):
+                pass

@@ -1,6 +1,7 @@
 """Training loop: loss values, teacher forcing, determinism, epoch selection."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from seq2label import corpus, synthetic, trainer
 from seq2label.corpus import LabelVocabulary, Vocabulary
 from seq2label.errors import ConfigError, NumericError
 from seq2label.model import ModelConfig, Seq2LabelModel
-from seq2label.numerics import RngStream, clip_gradients
+from seq2label.numerics import RngStream, Tensor, clip_gradients, params, pool
 from seq2label.trainer import TrainConfig, decoder_losses, fit, sequence_loss, train_epoch
 
 
@@ -152,16 +153,16 @@ class TestTrainEpoch:
 
 
     def test_overflow_in_a_pool_thread_names_the_batch(self, monkeypatch, sweeps_on_pool_threads):
-        # a gradient of 10 on the token table in place of clipping: at lr 1e308
-        # its update overflows on the pool threads, under the batch's errstate,
-        # and must raise there, not warn
+        # a gradient of 10 on the token table's gathered rows in place of
+        # clipping: at lr 1e308 its update overflows on the pool threads,
+        # under the batch's errstate, and must raise there, not warn
         records = synthetic.memorization_corpus(0)[:2]
         examples, vocab, lv = build_corpus(records)
         m = Seq2LabelModel(ModelConfig(embed_size=64, encoder_hidden=4, decoder_hidden=4),
                            4 * 1024, len(lv), RngStream(0))
 
         def plant(store, max_norm):
-            store["embed.tokens"].grad[:] = 10.0
+            store["embed.tokens"].grad[batches[0].token_ids] = 10.0
             return 1.0
 
         monkeypatch.setattr(trainer, "clip_gradients", plant)
@@ -176,6 +177,44 @@ class TestTrainEpoch:
         monkeypatch.setattr(trainer, "clip_gradients", clip_gradients)
         m = Seq2LabelModel(m.config, m.vocab_size, m.num_labels, RngStream(0))
         assert math.isfinite(train_epoch(m, batches, TrainConfig(), RngStream(0)))
+
+
+    @pytest.mark.parametrize("failure", ["loss", "backward", "adam"])
+    def test_a_failing_batch_waits_for_its_early_update(self, monkeypatch, failure):
+        # each early update sleeps first, so it is still running when the
+        # batch fails; train_epoch must not raise before it has finished
+        monkeypatch.setattr(pool, "workers", lambda: 2)
+        early = []
+
+        def slow_start(piece):
+            early.append(pool.start(lambda: time.sleep(0.2) or piece()))
+            return early[-1]
+
+        monkeypatch.setattr(params, "start", slow_start)
+        records = synthetic.memorization_corpus(0)[:2]
+        examples, vocab, lv = build_corpus(records)
+        m = Seq2LabelModel(ModelConfig(embed_size=64, encoder_hidden=4, decoder_hidden=4),
+                           4 * 1024, len(lv), RngStream(0))
+        framed = [
+            (ex.token_ids, corpus.frame_labels(corpus.sort_labels(ex.label_ids, lv), lv))
+            for ex in examples
+        ]
+        batches = corpus.make_batches(framed, batch_size=2)
+        config = TrainConfig()
+        if failure == "loss":
+            m.params["attn.v"].data[:] = np.inf
+        elif failure == "backward":
+            monkeypatch.setattr(Tensor, "backward", lambda loss: np.float64(1e308) * 10.0)
+        else:
+            def plant(store, max_norm):
+                store["embed.tokens"].grad[batches[0].token_ids] = 10.0
+                return 1.0
+
+            monkeypatch.setattr(trainer, "clip_gradients", plant)
+            config = TrainConfig(learning_rate=1e308)
+        with pytest.raises(NumericError, match="batch 0"):
+            train_epoch(m, batches, config, RngStream(0))
+        assert len(early) == 1 and early[0].done()
 
 
 class TestPadding:
