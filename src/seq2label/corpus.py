@@ -16,6 +16,8 @@ import string
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress, count, islice, repeat
+from operator import itemgetter, ne
 
 import numpy as np
 
@@ -65,12 +67,7 @@ def atomic_output(path: str, binary: bool = False):
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip punctuation off token edges."""
-    out = []
-    for raw in text.lower().split():
-        tok = raw.strip(_STRIP)
-        if tok:
-            out.append(tok)
-    return out
+    return list(filter(None, map(str.strip, text.lower().split(), repeat(_STRIP))))
 
 
 # a tab splits a vocabulary line; str.splitlines also ends a line at each of the rest
@@ -94,12 +91,18 @@ class _NameTable:
             raise DataError(f"{self.kind} {bad!r} contains a tab or a line break")
         self._names = list(names)
         self._freqs = list(freqs)
-        self._ids = {name: i + self.first_id for i, name in enumerate(names)}
+        self._ids = dict(zip(self._names, count(self.first_id)))
         if len(self._ids) != len(names):
             raise DataError(f"duplicate {self.kind} in vocabulary")
 
     def to_text(self) -> str:
-        return "".join(f"{name}\t{freq}\n" for name, freq in zip(self._names, self._freqs))
+        # names alternate with their "\t<count>\n" ends, each distinct count
+        # printed once: 50,000 tokens hold a few hundred distinct counts
+        ends = {freq: f"\t{freq}\n" for freq in set(self._freqs)}
+        cells = [""] * (2 * len(self._names))
+        cells[0::2] = self._names
+        cells[1::2] = map(ends.__getitem__, self._freqs)
+        return "".join(cells)
 
     @classmethod
     def from_text(cls, text: str):
@@ -111,7 +114,7 @@ class _NameTable:
 
     @classmethod
     def load(cls, path: str):
-        return cls(*_parse_tsv(_text_lines(path)))
+        return cls(*_parse_tsv(list(_text_lines(path))))
 
 
 class Vocabulary(_NameTable):
@@ -176,33 +179,47 @@ class LabelVocabulary(_NameTable):
 
 
 def _text_lines(path: str):
-    """The lines of a UTF-8 text file; a line with other bytes raises CorpusError."""
+    """The lines of a UTF-8 text file, without their line ends; the line
+    that holds other bytes raises CorpusError when it is reached."""
     # surrogateescape turns each undecodable byte into a lone surrogate, which
-    # a strict encode then finds, so the error names the line it is on
+    # a strict encode then finds; the lines before it come out first
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise CorpusError("invalid UTF-8", line=lineno) from None
-            yield line
+        text = f.read()
+    lines = text.split("\n")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        bad = text.count("\n", 0, e.start)
+        yield from lines[:bad]
+        raise CorpusError("invalid UTF-8", line=bad + 1) from None
+    yield from lines
 
 
-def _parse_tsv(lines) -> tuple[list[str], list[int]]:
-    names, freqs = [], []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise CorpusError(f"expected 'name<TAB>count', got {line!r}", line=lineno)
-        try:
-            freq = int(parts[1])
-        except ValueError:
-            raise CorpusError(f"count {parts[1]!r} is not an integer", line=lineno) from None
-        names.append(parts[0])
-        freqs.append(freq)
+def _parse_tsv(lines: list[str]) -> tuple[list[str], list[int]]:
+    """Names and counts from ``name<TAB>count`` lines, skipping blank ones.
+
+    The lines are checked, split and converted a whole column at a time; the
+    first bad line raises CorpusError with its 1-based number.
+    """
+    kept = list(filter(None, lines))
+
+    def line_of(i: int) -> int:  # the 1-based number of kept[i]
+        return next(islice(compress(count(1), lines), i, None))
+
+    tabs = list(map(str.count, kept, repeat("\t")))
+    shaped = len(kept)  # the lines before the first that does not hold exactly one tab
+    if tabs.count(1) != len(kept):
+        shaped = next(compress(count(), map(ne, tabs, repeat(1))))
+    fields = "\t".join(kept[:shaped]).split("\t") if shaped else []
+    names, counts = fields[0::2], fields[1::2]
+    freqs: list[int] = []
+    try:
+        freqs.extend(map(int, counts))  # on a bad count, holds the counts before it
+    except ValueError:
+        i = len(freqs)
+        raise CorpusError(f"count {counts[i]!r} is not an integer", line=line_of(i)) from None
+    if shaped < len(kept):
+        raise CorpusError(f"expected 'name<TAB>count', got {kept[shaped]!r}", line=line_of(shaped))
     return names, freqs
 
 
@@ -278,14 +295,16 @@ def build_vocab(records: list[dict], max_size: int = 50000) -> tuple[Vocabulary,
     for rec in records:
         tok_counts.update(tokenize(rec["text"]))
         lab_counts.update(rec["labels"])
-    # most_common is a stable sort on the count, so equal counts keep the
-    # order in which Counter first saw them
-    tokens = [t for t, _ in tok_counts.most_common(max_size)]
-    labels = [l for l, _ in lab_counts.most_common()]
+    # one stable sort on the count, so equal counts keep the order in which
+    # Counter first saw them (most_common(n)'s heap ranks the same, slower)
     return (
-        Vocabulary(tokens, [tok_counts[t] for t in tokens]),
-        LabelVocabulary(labels, [lab_counts[l] for l in labels]),
+        Vocabulary(*_columns(tok_counts.most_common()[:max_size])),
+        LabelVocabulary(*_columns(lab_counts.most_common())),
     )
+
+
+def _columns(ranked: list[tuple[str, int]]) -> tuple[list[str], list[int]]:
+    return list(map(itemgetter(0), ranked)), list(map(itemgetter(1), ranked))
 
 
 def encode_text(text: str, vocab: Vocabulary, max_len: int = 500) -> np.ndarray:
@@ -295,8 +314,7 @@ def encode_text(text: str, vocab: Vocabulary, max_len: int = 500) -> np.ndarray:
     toks = tokenize(text)
     if not toks:
         raise DataError("text has no tokens after normalization")
-    ids = [vocab.id_of(t) for t in toks[:max_len]]
-    return np.asarray(ids, dtype=np.int64)
+    return np.array(list(map(vocab._ids.get, toks[:max_len], repeat(UNK_ID))), dtype=np.int64)
 
 
 def encode_examples(

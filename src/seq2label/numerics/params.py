@@ -159,6 +159,11 @@ class ParameterStore:
             "v": {k: v.copy() for k, v in self._adam_v.items()},
         }
 
+    def moments(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Adam's first and second moments by name: the store's own arrays,
+        for a caller that only reads them (``adam_state`` returns copies)."""
+        return self._adam_m, self._adam_v
+
     def load_adam_state(self, state: dict) -> None:
         self.step_count = int(state["step"])
         for k in self._params:

@@ -1,6 +1,7 @@
 """Checkpoint format: bitwise round trips, deterministic bytes, corruption."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -89,6 +90,81 @@ def one_update(model, example, framed):
     adam_step(model.params, lr=0.01)
 
 
+def reference_bytes(model, vocab, lv, best_valid_f1, max_label_steps, save_adam):
+    """The format written out by hand: the magic line, the header line, each
+    tensor's bytes, then, with Adam, every m and every v, in manifest order."""
+    params = model.params
+    header = {
+        "model_config": asdict(model.config),
+        "vocab_size": model.vocab_size,
+        "num_labels": model.num_labels,
+        "vocab": vocab.to_text(),
+        "label_vocab": lv.to_text(),
+        "best_valid_f1": float(best_valid_f1),
+        "max_label_steps": int(max_label_steps),
+        "tensors": [{"name": name, "shape": list(t.data.shape)} for name, t in params.items()],
+        "adam": {"saved": save_adam, "step": params.step_count},
+    }
+    blob = MAGIC + json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n"
+    blob += b"".join(t.data.astype("<f8").tobytes() for _, t in params.items())
+    if save_adam:
+        state = params.adam_state()
+        blob += b"".join(state["m"][name].astype("<f8").tobytes() for name in params.names())
+        blob += b"".join(state["v"][name].astype("<f8").tobytes() for name in params.names())
+    return blob
+
+
+def trained_setup(**cfg_overrides):
+    """A model three Adam steps in, so that m, v and the step count are not zero."""
+    from seq2label.corpus import frame_labels, sort_labels
+
+    model, vocab, lv, examples = small_setup(seed=1, **cfg_overrides)
+    for ex in examples:
+        one_update(model, ex, frame_labels(sort_labels(ex.label_ids, lv), lv))
+    return model, vocab, lv
+
+
+class TestFormat:
+    @pytest.mark.parametrize("save_adam", [False, True])
+    @pytest.mark.parametrize("cfg", [{}, {"ge_mode": "gate", "encoder_layers": 2}], ids=["default", "gate-2-layers"])
+    def test_bytes_match_the_reference_writer(self, tmp_path, save_adam, cfg):
+        model, vocab, lv = trained_setup(**cfg)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), model, vocab, lv, best_valid_f1=0.25, max_label_steps=3, save_adam=save_adam)
+        assert path.read_bytes() == reference_bytes(model, vocab, lv, 0.25, 3, save_adam)
+
+    @pytest.mark.parametrize("save_adam", [False, True])
+    def test_loaded_arrays_are_native_and_their_own(self, tmp_path, save_adam):
+        model, vocab, lv = trained_setup()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, model, vocab, lv, save_adam=save_adam)
+        params = load_checkpoint(path).model.params
+        m, v = params.moments()
+        arrays = [t.data for _, t in params.items()] + [m[name] for name in params] + [v[name] for name in params]
+        for a in arrays:
+            assert a.dtype == np.float64 and a.dtype.isnative
+            assert a.flags.c_contiguous and a.flags.aligned and a.flags.writeable
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), i
+        if save_adam:
+            saved_m, saved_v = model.params.moments()
+            for name in params:
+                assert np.array_equal(m[name], saved_m[name]) and np.array_equal(v[name], saved_v[name]), name
+
+    def test_load_draws_no_initial_values(self, tmp_path, monkeypatch):
+        model, vocab, lv = trained_setup()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, model, vocab, lv, save_adam=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew initial values")
+
+        monkeypatch.setattr(RngStream, "uniform", refuse)
+        ckpt = load_checkpoint(path)
+        for name, t in model.params.items():
+            assert np.array_equal(ckpt.model.params[name].data, t.data), name
+
+
 class TestOptimizerState:
     def test_adam_state_round_trip_continues_identically(self, tmp_path):
         from seq2label.corpus import frame_labels, sort_labels
@@ -123,7 +199,8 @@ class TestOptimizerState:
 
 
 def tamper_header(path, mutate):
-    blob = open(path, "rb").read()
+    with open(path, "rb") as f:
+        blob = f.read()
     end = blob.find(b"\n", len(MAGIC))
     header = json.loads(blob[len(MAGIC):end])
     mutate(header)
@@ -150,16 +227,20 @@ class TestCorruption:
 
     def test_truncated_tensors(self, tmp_path):
         path = self.make(tmp_path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-16])
-        with pytest.raises(DataError, match="truncated"):
-            load_checkpoint(path)
+        with open(path, "rb") as f:
+            blob = f.read()
+        # out.w_logits, the last tensor, holds (3 labels + 1) x 4 values
+        for cut, name in [(16, "out.w_logits"), (8 * (4 * 4 + 1), "out.w_context")]:
+            with open(path, "wb") as f:
+                f.write(blob[:-cut])
+            with pytest.raises(DataError, match=rf"is truncated \(tensor {name}\)$"):
+                load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = self.make(tmp_path)
         with open(path, "ab") as f:
             f.write(b"\x00" * 8)
-        with pytest.raises(DataError, match="trailing"):
+        with pytest.raises(DataError, match="has 8 trailing bytes$"):
             load_checkpoint(path)
 
     def test_corrupt_header_json(self, tmp_path):
@@ -186,6 +267,20 @@ class TestCorruption:
 
         tamper_header(path, mutate)
         with pytest.raises(DataError, match="shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [
+        lambda s: s[:-1] + [s[-1] + 0.5],
+        lambda s: [-d for d in s],
+        lambda s: "ab",
+        lambda s: [str(d) for d in s],
+        lambda s: [s],
+    ], ids=["float", "negative", "string", "digit-strings", "nested"])
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_malformed_shape_is_refused_before_reading(self, tmp_path, shape, entry):
+        path = self.make(tmp_path)
+        tamper_header(path, lambda h: h["tensors"][entry].__setitem__("shape", shape(h["tensors"][entry]["shape"])))
+        with pytest.raises(DataError, match="has shape .*, expected"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])

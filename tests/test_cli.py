@@ -1,5 +1,6 @@
 """Command-line behavior: pipelines over temp files, config layering, exit codes."""
 
+import contextlib
 import json
 import math
 import os
@@ -681,15 +682,27 @@ class TestAtomicWrites:
     @staticmethod
     def fail_checkpoint(path, workdir, monkeypatch):
         ck = load_checkpoint(workdir["ckpt"])
-        tensor_bytes, calls = checkpoint._tensor_bytes, []
+        atomic_output, writes = checkpoint.atomic_output, []
 
-        def fail_on_third(arr):
-            calls.append(1)
-            if len(calls) == 3:  # after the header and two tensors
-                raise OSError("disk full")
-            return tensor_bytes(arr)
+        class FullDisk:
+            """The file being written, whose sixth write fails: the magic
+            line, the header, its line end and two tensors are written."""
 
-        monkeypatch.setattr(checkpoint, "_tensor_bytes", fail_on_third)
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, data):
+                writes.append(1)
+                if len(writes) == 6:
+                    raise OSError("disk full")
+                return self.f.write(data)
+
+        @contextlib.contextmanager
+        def fill_up(*args, **kwargs):
+            with atomic_output(*args, **kwargs) as f:
+                yield FullDisk(f)
+
+        monkeypatch.setattr(checkpoint, "atomic_output", fill_up)
         save_checkpoint(path, ck.model, ck.vocab, ck.label_vocab)
 
     @staticmethod

@@ -253,6 +253,26 @@ class TestCheckpoints:
         assert code == 2
 
     @SETTINGS
+    @given(entry=st.integers(0, 16),
+           shape=st.sampled_from([
+               lambda s: s[:-1] + [s[-1] + 0.5], lambda s: [-d for d in s], lambda s: "ab",
+               lambda s: [str(d) for d in s], lambda s: [s], lambda s: s + [1], lambda s: [], lambda s: None,
+               lambda s: [10**9] * 2,
+           ]),
+           command=st.sampled_from(["evaluate", "predict"]))
+    def test_manifest_shape_replaced(self, seed_dir, entry, shape, command):
+        # one manifest entry's shape made malformed (a float, negatives, strings, another
+        # rank, a size past the file's end): refused before any tensor is read
+        blob = (seed_dir / "model.ckpt").read_bytes()
+        start = blob.index(b"\n") + 1
+        end = blob.index(b"\n", start)
+        header = json.loads(blob[start:end])
+        tensor = header["tensors"][entry % len(header["tensors"])]
+        tensor["shape"] = shape(tensor["shape"])
+        bad = blob[:start] + json.dumps(header).encode() + blob[end:]
+        assert check_run(seed_dir, [command] + BASE[command], {"model.ckpt": bad}) == 2
+
+    @SETTINGS
     @given(key=st.sampled_from(["model_config", "vocab", "label_vocab", "vocab_size", "num_labels", "tensors",
                                 "adam", "best_valid_f1", "max_label_steps"]),
            value=st.sampled_from([None, 5, -1, 0, 1.5, "x", "a\t1\n", [], {}, [{"name": 1}],

@@ -5,7 +5,7 @@ import stat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seq2label import corpus
@@ -51,6 +51,52 @@ class TestNameTable:
     def test_rejects_lists_of_different_lengths(self, cls, kind, names, freqs):
         with pytest.raises(DataError, match=f"{kind} and frequency lists differ in length"):
             cls(names, freqs)
+
+
+# one-line names: no tab and nothing str.splitlines ends a line at
+NAMES = st.lists(
+    st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"),
+            min_size=1, max_size=6),
+    unique=True, max_size=12,
+)
+# a vocabulary line that is not 'name<TAB>count': three fields, one field, or a count int() refuses
+BAD_LINES = st.sampled_from(["x\ty\t3", "a\t1\t", "solo", " ", "x\tone", "x\t1.5", "x\t", "x\t0x1f"])
+
+
+class TestNameTableText:
+    """``to_text`` and ``from_text``/``load``, against the line-by-line format."""
+
+    @given(names=NAMES, data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_through_the_line_format(self, tmp_path_factory, names, data):
+        freqs = data.draw(st.lists(st.integers(-10**20, 10**20), min_size=len(names), max_size=len(names)))
+        for cls in (Vocabulary, LabelVocabulary) if names else (Vocabulary,):
+            table = cls(names, freqs)
+            text = table.to_text()
+            assert text == "".join(f"{name}\t{freq}\n" for name, freq in zip(names, freqs))
+            path = tmp_path_factory.mktemp("v") / "v.tsv"
+            path.write_text(text, encoding="utf-8")
+            for again in (cls.from_text(text), cls.load(str(path))):
+                assert again._names == names and again._freqs == freqs
+                assert again.to_text() == text
+
+    @given(before=st.lists(st.booleans(), max_size=8), bad=BAD_LINES,
+           after=st.lists(st.sampled_from(["z\t1", "", "y", "w\tx"]), max_size=3),
+           ending=st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=100, deadline=None)
+    @example(before=[False, True], bad="x\ty\t3", after=[], ending="\n")
+    @example(before=[True, False], bad="solo", after=[], ending="\n")
+    @example(before=[False, False, True], bad="x\tone", after=[], ending="\n")
+    def test_first_bad_line_is_named(self, tmp_path_factory, before, bad, after, ending):
+        # good lines where ``before`` is True, blank lines where it is False
+        lines = [f"n{i}\t{i}" if good else "" for i, good in enumerate(before)] + [bad] + after
+        text = ending.join(lines) + ending
+        path = tmp_path_factory.mktemp("v") / "v.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        for cls in (Vocabulary, LabelVocabulary):
+            for read in (lambda: cls.from_text(text), lambda: cls.load(str(path))):
+                with pytest.raises(CorpusError, match=f"^line {len(before) + 1}: "):
+                    read()
 
 
 class TestVocabulary:
@@ -151,15 +197,30 @@ class TestBuildVocab:
         assert len(vocab) == 4  # two kept tokens plus pad/unk
         assert vocab.id_of("c") == UNK_ID
 
-    def test_tie_straddling_max_size_keeps_first_seen(self):
-        # z and y tie at two behind x, and a cap of 2 cuts between them. A
-        # capped ranking goes through Counter.most_common(n)'s heap, an
-        # uncapped one through a full sort; both keep a tie in first-seen order.
-        records = [{"text": "z y z", "labels": ["X"]}, {"text": "y x x w x", "labels": ["X"]}]
-        ranked = build_vocab(records)[0].to_text().splitlines()
-        assert ranked == ["x\t3", "z\t2", "y\t2", "w\t1"]
-        for cap in range(1, 5):
-            assert build_vocab(records, max_size=cap)[0].to_text().splitlines() == ranked[:cap], cap
+    @given(texts=st.lists(st.lists(st.sampled_from(["a", "b", "B", "c,", "(c)", "d", "e.f", "--", "g"]),
+                                   max_size=8).map(" ".join), min_size=1, max_size=6),
+           label_sets=st.lists(st.lists(st.sampled_from("PQRST"), min_size=1, max_size=3, unique=True),
+                               min_size=6, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    @example(texts=["z y z", "y x x w x"], label_sets=[["X"], ["X"]] * 3)
+    def test_tie_straddling_max_size_keeps_first_seen(self, texts, label_sets):
+        # corpora of a few words, so counts tie often. A cap cuts through a
+        # tie too: equal counts keep their first-seen order on both sides of it
+        records = [{"text": text, "labels": labels} for text, labels in zip(texts, label_sets)]
+
+        def ranked(names):
+            first, counts = {}, {}
+            for name in names:
+                first.setdefault(name, len(first))
+                counts[name] = counts.get(name, 0) + 1
+            return [f"{n}\t{counts[n]}" for n in sorted(counts, key=lambda n: (-counts[n], first[n]))]
+
+        tokens = ranked(tok for text in texts for tok in tokenize(text))
+        labels = ranked(lab for rec in records for lab in rec["labels"])
+        for cap in range(1, len(tokens) + 2):
+            vocab, label_vocab = build_vocab(records, max_size=cap)
+            assert vocab.to_text().splitlines() == tokens[:cap], cap
+            assert label_vocab.to_text().splitlines() == labels
 
 
 class TestLoadJsonl:
@@ -218,6 +279,22 @@ class TestEncodeText:
     def test_truncation(self):
         v = Vocabulary(["a"], [1])
         assert len(encode_text("a " * 100, v, max_len=7)) == 7
+
+    @given(words=st.lists(st.sampled_from(["a", "B", "c.", "(d)", "e-f", "zz", "?", "q"]), min_size=1, max_size=30),
+           known=st.lists(st.sampled_from(["a", "b", "c", "d", "e-f", "x"]), unique=True),
+           max_len=st.integers(1, 35))
+    @settings(max_examples=150, deadline=None)
+    def test_ids_match_a_lookup_per_token(self, words, known, max_len):
+        vocab = Vocabulary(known, [1] * len(known))
+        text = " ".join(words)
+        toks = tokenize(text)
+        if not toks:
+            with pytest.raises(DataError, match="no tokens"):
+                encode_text(text, vocab, max_len)
+            return
+        ids = encode_text(text, vocab, max_len)
+        assert ids.dtype == np.int64 and ids.ndim == 1
+        assert ids.tolist() == [vocab.id_of(tok) for tok in toks[:max_len]]
 
     def test_empty_after_normalization_raises(self):
         v = Vocabulary(["a"], [1])
