@@ -349,17 +349,23 @@ def cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
-def _parse_lambda_list(text: str) -> list[float]:
+def _parse_lambda_list(text: str) -> dict[str, float]:
+    """The ``lambda`` variants of ``--lambda-list``, by variant name."""
     try:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse lambda list {text!r}") from None
     if not values:
         raise ConfigError("lambda list is empty")
+    variants = {}
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"lambda {v} outside [0, 1]")
-    return values
+        name = f"lambda={v:g}"
+        if name in variants:
+            raise ConfigError(f"lambdas {variants[name]!r} and {v!r} both name the variant {name!r}")
+        variants[name] = v
+    return variants
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
@@ -374,8 +380,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
     variants: list[tuple[str, RunConfig]] = [("base", cfg)]
     variants.append(("no_mask", replace(cfg, no_mask=True)))
     variants.append(("shuffled_labels", replace(cfg, shuffle_labels=True)))
-    for lam in lambdas:
-        variants.append((f"lambda={lam:g}", replace(cfg, ge_mode="lambda", ge_lambda=lam)))
+    for name, lam in lambdas.items():
+        variants.append((name, replace(cfg, ge_mode="lambda", ge_lambda=lam)))
 
     results = {}
     for name, vcfg in variants:

@@ -29,6 +29,19 @@ ADAM_BLOCK = 32_768
 EARLY_RUN = 2
 
 
+_local = threading.local()
+
+
+def _scratch(size: int) -> np.ndarray:
+    """``size`` elements of the calling thread's own float64 buffer, which
+    grows to the thread's largest request and is kept, so a thread's sweeps
+    allocate nothing after its first."""
+    buf = getattr(_local, "buffer", None)
+    if buf is None or buf.size < size:
+        buf = _local.buffer = np.empty(size)
+    return buf[:size]
+
+
 class ParameterStore:
     """Ordered name -> Tensor map that also owns the optimizer state.
 
@@ -41,7 +54,6 @@ class ParameterStore:
         self._adam_m: dict[str, np.ndarray] = {}
         self._adam_v: dict[str, np.ndarray] = {}
         self.step_count = 0
-        self._buffers = [np.empty(0)]  # scratch for grad_norm and adam_step, see _scratch()
         self._reach: _Reach | None = None  # set by early_adam_step for one step
 
     def add(self, name: str, shape: tuple[int, ...], rng, scale: float = 0.1) -> Tensor:
@@ -76,28 +88,6 @@ class ParameterStore:
         for t in self._params.values():
             t.grad = None
 
-    def _scratch(self, size: int, count: int = 1, first: int = 0) -> list[np.ndarray]:
-        """``size`` elements of each of ``count`` float64 buffers the store
-        reuses from buffer ``first`` on, one for each piece of a sweep that
-        runs at once.
-
-        Each grows to the largest request, ``2 * ADAM_BLOCK`` once Adam has
-        run (the second ``2 * EARLY_RUN * ADAM_BLOCK`` once an early step
-        has), and none is shrunk or dropped, so the optimizer's sweeps
-        allocate nothing after their first call at a given worker count.
-        """
-        while len(self._buffers) < first + count:
-            self._buffers.append(np.empty(0))
-        for i in range(first, first + count):
-            if self._buffers[i].size < size:
-                self._buffers[i] = np.empty(size)
-        return [buf[:size] for buf in self._buffers[first : first + count]]
-
-    @property
-    def _buffer(self) -> np.ndarray:
-        """The first scratch buffer, the one the calling thread sweeps with."""
-        return self._buffers[0]
-
     def grad_norm(self, scale: float = 1.0) -> float:
         """Global L2 norm of the gradients divided by ``scale``.
 
@@ -118,7 +108,8 @@ class ParameterStore:
 
     def _sum_squares(self, g: np.ndarray, scale: float, lo: int = 0, reach: _Reach | None = None) -> float:
         """``((g / scale) ** 2).sum()`` of a flat array, squared at most
-        ``ADAM_BLOCK`` elements at a time into the first reused buffer.
+        ``ADAM_BLOCK`` elements at a time into the calling thread's scratch
+        buffer.
 
         numpy sums pairwise, splitting n elements at
         ``n//2 - (n//2) % 8``; splitting at the same points makes each
@@ -133,7 +124,7 @@ class ParameterStore:
         if n > ADAM_BLOCK:
             half = n // 2 - (n // 2) % 8
             return self._sum_squares(g[:half], scale, lo, reach) + self._sum_squares(g[half:], scale, lo + half, reach)
-        buf = self._scratch(n)[0]
+        buf = _scratch(n)
         if scale != 1.0:
             g = np.divide(g, scale, out=buf)
         return float(np.multiply(g, g, out=buf).sum())
@@ -179,8 +170,10 @@ def _check_grad_shape(name: str, t: Tensor) -> None:
 class _Reach:
     """The rows of table ``name`` that one step's gradient reaches; every
     other row's gradient is +0.0. ``hit[k]`` says whether Adam's block k of
-    the flat table holds a reached row. ``early`` is the running update of
-    the other blocks (a future), or None when ``adam_step`` updates them."""
+    the flat table holds a reached row; ``runs`` are the other blocks, up to
+    ``EARLY_RUN`` consecutive ones each. ``early`` is their update running
+    on a pool thread (a future), or None once it has run on the calling
+    thread."""
 
     def __init__(self, name: str, table: np.ndarray, rows, rule: tuple):
         self.name, self.rule, self.early = name, rule, None
@@ -189,11 +182,27 @@ class _Reach:
             raise ShapeError(f"rows of {name!r} must be within range for shape {table.shape}")
         self.width = table.size // table.shape[0]
         self.hit = [self.reaches(lo, lo + ADAM_BLOCK) for lo in range(0, table.size, ADAM_BLOCK)]
+        self.runs = []
+        for k, hit in enumerate(self.hit):
+            lo = k * ADAM_BLOCK
+            if hit:
+                continue
+            if self.runs and self.runs[-1].stop == lo and lo - self.runs[-1].start < EARLY_RUN * ADAM_BLOCK:
+                self.runs[-1] = slice(self.runs[-1].start, lo + ADAM_BLOCK)
+            else:
+                self.runs.append(slice(lo, lo + ADAM_BLOCK))
 
     def reaches(self, lo: int, hi: int) -> bool:
         """Whether elements ``lo:hi`` of the flat table hold a reached row."""
         i = bisect_left(self.rows, lo // self.width)
         return i < len(self.rows) and self.rows[i] * self.width < hi
+
+    def update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
+        """The zero-gradient rule of ``_update`` over ``runs`` of the flat
+        table ``p`` and its moments ``m`` and ``v``, a run per numpy call."""
+        scratch = _scratch(2 * EARLY_RUN * ADAM_BLOCK)
+        for span in self.runs:
+            _update(p[span], None, m[span], v[span], scratch, *self.rule)
 
 
 def clip_gradients(store: ParameterStore, max_norm: float) -> float:
@@ -286,15 +295,15 @@ def adam_step(
     moment still moves the value.
 
     The update runs in place, ``ADAM_BLOCK`` elements at a time, each block
-    through two block-sized halves of a scratch buffer of the store (see
-    ``_update``), so the result has the same bits as the whole-array
+    through two block-sized halves of the sweeping thread's scratch buffer
+    (see ``_update``), so the result has the same bits as the whole-array
     expression, whichever thread updates a block. A large enough sweep runs
     on every CPU (see ``pool``): each thread takes the next block not yet
-    taken, so a thread slowed by other work takes fewer, and sweeps through
-    its own buffer. Inside ``early_adam_step``, which must have been given
-    the same hyperparameters, this first waits for the early update of the
-    table's unreached blocks and raises its error, or, when none was
-    started, updates those blocks by the zero-gradient rule with the rest.
+    taken, so a thread slowed by other work takes fewer. Inside
+    ``early_adam_step``, which must have been given the same
+    hyperparameters, this first waits for the early update of the table's
+    unreached blocks and raises its error, then sweeps only the table's
+    reached blocks.
     """
     live = [(name, p) for name, p in store.items() if p.grad is not None]
     rule = _rule(store.step_count + 1, lr, beta1, beta2, eps)
@@ -312,23 +321,21 @@ def adam_step(
                 store._adam_v[name].reshape(-1))
         n = flat[0].size
         for k, lo in enumerate(range(0, n, ADAM_BLOCK)):
-            dense = reach is None or reach.name != name or reach.hit[k]
-            if dense or reach.early is None:
-                blocks.append((flat, slice(lo, lo + ADAM_BLOCK), dense))
+            if reach is None or reach.name != name or reach.hit[k]:
+                blocks.append((flat, slice(lo, lo + ADAM_BLOCK)))
                 size += min(n - lo, ADAM_BLOCK)
     todo, lock = iter(blocks), threading.Lock()
 
-    def sweep(scratch: np.ndarray) -> None:
+    def sweep() -> None:
+        scratch = _scratch(2 * ADAM_BLOCK)
         while True:
             with lock:
-                flat, block, dense = next(todo, (None, None, None))
+                flat, block = next(todo, (None, None))
             if flat is None:
                 return
-            pb, g, m, v = (a[block] for a in flat)
-            _update(pb, g if dense else None, m, v, scratch, *rule)
+            _update(*(a[block] for a in flat), scratch, *rule)
 
-    count = split(size, len(blocks))
-    run([partial(sweep, scratch) for scratch in store._scratch(2 * ADAM_BLOCK, count)])
+    run([sweep] * split(size, len(blocks)))
 
 
 @contextmanager
@@ -349,39 +356,26 @@ def early_adam_step(
     ``store.step_count + 1``, with these hyperparameters, which the
     ``adam_step`` inside the block must be given too. When they add up to
     ``SPLIT_MIN`` elements or more and the process may use more than one
-    CPU, a pool thread updates them now, ``EARLY_RUN`` blocks per numpy
-    call, while the caller computes the gradient: it touches only those
-    blocks' values and moments, which a forward and backward that gather
-    ``rows`` never read. Otherwise ``adam_step`` updates them.
-    ``grad_norm`` and ``clip_gradients`` skip them. Every bit is that of the
-    dense update given the +0.0 gradient; a gradient that is not +0.0
+    CPU, a pool thread updates them, ``EARLY_RUN`` blocks per numpy call,
+    while the caller computes the gradient: it touches only those blocks'
+    values and moments, which a forward and backward that gather ``rows``
+    never read. Otherwise the calling thread updates them here, before the
+    block's body runs. ``adam_step`` updates the other blocks, and
+    ``grad_norm`` and ``clip_gradients`` skip these. Every bit is that of
+    the dense update given the +0.0 gradient; a gradient that is not +0.0
     outside ``rows`` is updated as if it were.
 
     The block exits only once the early update has finished. A block left
     by an error before ``adam_step`` leaves those blocks one step ahead of
-    the rest of the store.
+    the rest of the store, at any CPU count.
     """
     table = store[name].data
     reach = _Reach(name, table, rows, _rule(store.step_count + 1, lr, beta1, beta2, eps))
-    runs = []  # up to EARLY_RUN consecutive unreached blocks each
-    for k, hit in enumerate(reach.hit):
-        lo = k * ADAM_BLOCK
-        if hit:
-            continue
-        if runs and runs[-1].stop == lo and lo - runs[-1].start < EARLY_RUN * ADAM_BLOCK:
-            runs[-1] = slice(runs[-1].start, lo + ADAM_BLOCK)
-        else:
-            runs.append(slice(lo, lo + ADAM_BLOCK))
-    if split(sum(min(span.stop, table.size) - span.start for span in runs), 2) > 1:
-        # buffer 1: the calling thread's grad_norm squares into buffer 0 meanwhile
-        scratch = store._scratch(2 * EARLY_RUN * ADAM_BLOCK, 1, first=1)[0]
-        p, m, v = (a.reshape(-1) for a in (table, store._adam_m[name], store._adam_v[name]))
-
-        def update_runs() -> None:
-            for span in runs:
-                _update(p[span], None, m[span], v[span], scratch, *reach.rule)
-
-        reach.early = start(update_runs)
+    update = partial(reach.update, *(a.reshape(-1) for a in (table, store._adam_m[name], store._adam_v[name])))
+    if split(sum(min(span.stop, table.size) - span.start for span in reach.runs), 2) > 1:
+        reach.early = start(update)
+    else:
+        update()
     store._reach = reach
     try:
         yield

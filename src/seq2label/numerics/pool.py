@@ -8,9 +8,11 @@ order, so a sweep keeps its bits at any worker count. ``start`` hands the
 pool one piece without waiting: Adam's early update of the token table's
 unreached blocks, which runs beside a batch's forward and backward passes.
 Every piece runs in a copy of the caller's context, which carries its
-``np.errstate``. The pool is started by the first sweep that splits, never
-on import; a process confined to one CPU (``taskset -c 0``) runs every sweep
-on the calling thread.
+``np.errstate``; Adam's pieces sweep through the scratch buffer of the
+thread that runs them. The pool is made once, by the first sweep that
+splits, never on import, with room for ``workers()`` threads; a process
+confined to one CPU (``taskset -c 0``) runs every sweep on the calling
+thread.
 
 The pieces gain only when BLAS runs one thread (``OPENBLAS_NUM_THREADS=1``):
 OpenBLAS's own threads keep spinning on the other CPUs for a while after
@@ -35,7 +37,6 @@ T = TypeVar("T")
 SPLIT_MIN = 65_536
 
 _pool: ThreadPoolExecutor | None = None
-_pool_threads = 0
 _pool_lock = threading.Lock()
 
 
@@ -53,14 +54,14 @@ def split(size: int, most: int) -> int:
     return 1 if size < SPLIT_MIN else max(1, min(most, workers()))
 
 
-def _executor(threads: int) -> ThreadPoolExecutor:
-    """The pool, with room for at least ``threads`` threads. A smaller one is
-    replaced, and its idle threads exit once no caller holds it."""
-    global _pool, _pool_threads
+def _executor() -> ThreadPoolExecutor:
+    """The pool, made by the first call with room for ``workers()`` threads:
+    ``run`` hands pieces to up to ``workers() - 1`` of them and ``start``
+    one more, so a ``run`` while a started piece goes still finds them."""
+    global _pool
     with _pool_lock:
-        if _pool_threads < threads:
-            _pool = ThreadPoolExecutor(threads, thread_name_prefix="seq2label-sweep")
-            _pool_threads = threads
+        if _pool is None:
+            _pool = ThreadPoolExecutor(workers(), thread_name_prefix="seq2label-sweep")
         return _pool
 
 
@@ -74,7 +75,7 @@ def run(pieces: Sequence[Callable[[], T]]) -> list[T]:
     """
     if len(pieces) == 1:
         return [pieces[0]()]
-    pool = _executor(len(pieces) - 1)
+    pool = _executor()
     futures = [pool.submit(contextvars.copy_context().run, piece) for piece in pieces[1:]]
     try:
         first = pieces[0]()
@@ -86,8 +87,5 @@ def run(pieces: Sequence[Callable[[], T]]) -> list[T]:
 def start(piece: Callable[[], T]) -> Future:
     """Begin ``piece`` on a pool thread, in a copy of the caller's context
     taken here, and return its future at once; the caller must wait for it.
-
-    The pool keeps one thread beyond the ``workers() - 1`` that ``run``
-    hands pieces to, so a ``run`` while this piece goes still finds them.
     """
-    return _executor(workers()).submit(contextvars.copy_context().run, piece)
+    return _executor().submit(contextvars.copy_context().run, piece)

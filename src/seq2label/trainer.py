@@ -127,18 +127,18 @@ def train_epoch(
 
     A batch gathers only its ``token_ids`` rows of the token table, so every
     other row's gradient is +0.0: Adam's step of the blocks that hold none
-    of them runs beside the forward and backward passes
+    of them runs first, beside the forward and backward passes when it can
     (``early_adam_step``), with the bits of the dense update.
 
     A floating-point overflow or invalid operation anywhere in a batch's
     forward, backward, clipping or Adam update is a diverging run: it raises
     NumericError naming the batch (``clip_gradients`` keeps its own
     deliberate overflow of a sum of squares). A batch that raises leaves the
-    store part of the way through its step: its gradients may be clipped,
-    and some of Adam's blocks (the token table's unreached ones first) may
-    hold the step's new values and moments while the others do not, so the
-    store matches no whole step. Nothing of the batch is still running when
-    it raises.
+    store part of the way through its step: at any CPU count the token
+    table's unreached blocks hold the step's new values and moments unless
+    their update raised, its gradients may be clipped, and some of Adam's
+    other blocks may hold the step too, so the store matches no whole step.
+    Nothing of the batch is still running when it raises.
     """
     total = 0.0
     count = 0

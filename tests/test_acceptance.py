@@ -327,7 +327,7 @@ def test_09_training_is_reproducible_across_directories(tmp_path, capfd):
                  "--epochs", "3", "--batch-size", "4", "--seed", "11"]
             )
             assert code == 0
-            blobs.append(open(d / "model.ckpt", "rb").read())
+            blobs.append((d / "model.ckpt").read_bytes())
             os.chdir(cwd)
     finally:
         os.chdir(cwd)

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ class TestRoundTrip:
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(p1, model, vocab, lv, best_valid_f1=0.5, max_label_steps=2)
         save_checkpoint(p2, model, vocab, lv, best_valid_f1=0.5, max_label_steps=2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_non_ascii_tokens(self, tmp_path):
         vocab = Vocabulary(["café", "naïve"], [3, 2])
@@ -220,8 +221,8 @@ class TestCorruption:
 
     def test_bad_magic(self, tmp_path):
         path = self.make(tmp_path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(b"not a checkpoint\n" + blob)
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(b"not a checkpoint\n" + blob)
         with pytest.raises(DataError, match="magic"):
             load_checkpoint(path)
 
@@ -245,9 +246,9 @@ class TestCorruption:
 
     def test_corrupt_header_json(self, tmp_path):
         path = self.make(tmp_path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         end = blob.find(b"\n", len(MAGIC))
-        open(path, "wb").write(MAGIC + b"{broken" + blob[end:])
+        Path(path).write_bytes(MAGIC + b"{broken" + blob[end:])
         with pytest.raises(DataError, match="header"):
             load_checkpoint(path)
 
@@ -289,14 +290,14 @@ class TestCorruption:
         model, vocab, lv, _ = small_setup()
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(path, model, vocab, lv, save_adam=True)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         # the first value of out.w_logits in the chosen block
         names = model.params.names()
         sizes = [model.params[n].data.size for n in names]
         k = names.index("out.w_logits")
         at = blob.index(b"\n", len(MAGIC)) + 1 + 8 * (block * sum(sizes) + sum(sizes[:k]))
         blob[at:at + 8] = np.array([value], dtype="<f8").tobytes()
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(DataError, match=f"{kind} out.w_logits holds a non-finite value"):
             load_checkpoint(path)
 

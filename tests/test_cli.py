@@ -77,7 +77,7 @@ class TestBuildVocab:
         stats = json.loads(out)
         assert stats == {"examples": 2, "tokens": 4, "labels": 2}
         assert os.path.exists(vocab) and os.path.exists(lv)
-        assert "color\t2" in open(lv).read()
+        assert "color\t2" in Path(lv).read_text()
 
     def test_missing_flags_exit_one(self, capsys):
         code, _, err = run(["build-vocab", "--train", "x.jsonl"], capsys)
@@ -88,7 +88,7 @@ class TestBuildVocab:
 class TestTrain:
     def test_prints_progress_and_writes_report(self, workdir, capsys):
         # the module fixture already trained; check its artifacts
-        report = json.load(open(workdir["report"]))
+        report = json.loads(Path(workdir["report"]).read_text())
         assert len(report["train_loss"]) == 2
         assert len(report["valid_f1"]) == 2
         assert report["selected_epoch"] in (1, 2)
@@ -118,7 +118,7 @@ class TestTrain:
         assert main(["train", "--train", train, "--checkpoint", b,
                      "--vocab", vocab, "--label-vocab", lv] + FAST) == 0
         capsys.readouterr()
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestEvaluate:
@@ -155,7 +155,7 @@ class TestEvaluate:
         )
         assert code == 0
         assert out == ""
-        assert "micro_f1" in json.load(open(out_path))
+        assert "micro_f1" in json.loads(Path(out_path).read_text())
 
     def test_bad_beam_exits_one(self, workdir, capsys):
         code, _, err = run(
@@ -186,7 +186,7 @@ class TestPredict:
             capsys,
         )
         assert code == 0
-        rows = [json.loads(l) for l in open(out_path)]
+        rows = [json.loads(l) for l in Path(out_path).read_text().splitlines()]
         assert [r["index"] for r in rows] == [0, 1]
         for r in rows:
             assert isinstance(r["labels"], list)
@@ -222,7 +222,7 @@ class TestPredict:
         )
         assert code == 0
         pred = json.loads(out.strip())
-        trace = json.loads(open(attn).read().strip())
+        trace = json.loads(Path(attn).read_text().strip())
         assert trace["index"] == 0
         assert trace["tokens"] == ["doc03", "f12", "f13"]
         assert trace["labels"] == pred["labels"]
@@ -289,12 +289,12 @@ class TestConfigFile:
         assert main(["train", "--config", str(cfg), "--train", train,
                      "--checkpoint", ckpt, "--report", report]) == 0
         capsys.readouterr()
-        assert len(json.load(open(report))["train_loss"]) == 3
+        assert len(json.loads(Path(report).read_text())["train_loss"]) == 3
 
         assert main(["train", "--config", str(cfg), "--train", train,
                      "--checkpoint", ckpt, "--report", report, "--epochs", "1"]) == 0
         capsys.readouterr()
-        assert len(json.load(open(report))["train_loss"]) == 1
+        assert len(json.loads(Path(report).read_text())["train_loss"]) == 1
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -370,7 +370,7 @@ class TestMaskAblation:
                          + FAST, capsys)
         assert code == 0
         for path, use_mask in ((ckpt, False), (workdir["ckpt"], True)):
-            blob = open(path, "rb").read()
+            blob = Path(path).read_bytes()
             header = json.loads(blob.split(b"\n", 2)[1])
             assert header["model_config"]["use_mask"] is use_mask
 
@@ -457,7 +457,7 @@ class TestCheckpointErrors:
 
     @staticmethod
     def rewrite_header(src, dst, edit):
-        blob = open(src, "rb").read()
+        blob = Path(src).read_bytes()
         magic_end = blob.index(b"\n") + 1
         header_end = blob.index(b"\n", magic_end)
         header = json.loads(blob[magic_end:header_end])
@@ -468,7 +468,7 @@ class TestCheckpointErrors:
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_non_finite_value_exits_two_before_writing(self, workdir, tmp_path, capsys, value, command):
-        blob = bytearray(open(workdir["ckpt"], "rb").read())
+        blob = bytearray(Path(workdir["ckpt"]).read_bytes())
         header_end = blob.index(b"\n", blob.index(b"\n") + 1)
         entries = json.loads(blob[blob.index(b"\n") + 1:header_end])["tensors"]
         offset = header_end + 1
@@ -755,7 +755,7 @@ class TestAblate:
             capsys,
         )
         assert code == 0
-        variants = json.load(open(out_path))["variants"]
+        variants = json.loads(Path(out_path).read_text())["variants"]
         assert sorted(variants) == ["base", "lambda=0.5", "no_mask", "shuffled_labels"]
         for name, report in variants.items():
             assert 0.0 <= report["micro_f1"] <= 1.0, name
@@ -768,13 +768,26 @@ class TestAblate:
         assert code == 1
         assert "lambda" in err
 
+    @pytest.mark.parametrize("lambdas", ["0.5,0.5", "0.1234561,0.1234562"])
+    def test_lambdas_that_share_a_variant_name_exit_one(self, tmp_path, capsys, lambdas):
+        # one variant would overwrite the other's result; refused before
+        # the (missing) training file is read
+        out_path = tmp_path / "ablate.json"
+        code, _, err = run(
+            ["ablate", "--train", "x", "--test", "y", "--out", str(out_path), "--lambda-list", lambdas], capsys
+        )
+        assert code == 1
+        assert err.startswith("error:") and "both name the variant" in err and "Traceback" not in err
+        assert not out_path.exists()
+
 
 class TestSynth:
     def test_writes_three_corpora(self, tmp_path, capsys):
         out = str(tmp_path / "synth.jsonl")
         code, _, _ = run(["synth", "--out", out], capsys)
         assert code == 0
-        assert len(open(out).readlines()) == 20
+        with open(out) as f:
+            assert len(f.readlines()) == 20
         assert os.path.exists(str(tmp_path / "synth-pairs-train.jsonl"))
         assert os.path.exists(str(tmp_path / "synth-pairs-heldout.jsonl"))
 

@@ -16,6 +16,16 @@ from seq2label.numerics import params, pool
 from seq2label.numerics.params import ADAM_BLOCK
 
 
+def in_a_fresh_thread(fn):
+    """``fn()`` called on a new thread, whose scratch buffer starts empty."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(out) == 1
+    return out[0]
+
+
 def make_store(values: dict[str, np.ndarray]) -> ParameterStore:
     store = ParameterStore()
     for name, arr in values.items():
@@ -276,11 +286,16 @@ class TestClip:
         assert peak < 1_000_000
 
     def test_scratch_stays_two_blocks(self):
-        # a table-sized gradient is squared a block at a time, not all at once
+        # a table-sized gradient is squared a block at a time, not all at once,
+        # into the calling thread's own buffer
         store = make_store({"table": np.zeros((50002, 64))})
         store["table"].grad = np.random.default_rng(0).normal(size=(50002, 64))
-        assert clip_gradients(store, 1.0) < 1.0
-        assert store._buffer.size <= 2 * ADAM_BLOCK
+
+        def clip():
+            assert clip_gradients(store, 1.0) < 1.0
+            return params._local.buffer.size
+
+        assert in_a_fresh_thread(clip) <= 2 * ADAM_BLOCK
 
     def test_rejects_nonfinite_and_bad_norm(self):
         store = make_store({"w": np.zeros(2)})
@@ -316,17 +331,35 @@ class TestWorkerCount:
         TestClip().test_bitwise_equal_to_whole_array_clip(max_norm)
         assert calls == []  # the norm is summed on the calling thread
 
-    def test_buffers_are_kept_between_calls(self, worker_count):
+    def test_buffers_are_kept_between_calls(self, worker_count, monkeypatch):
+        # a fresh pool, whose threads hold no buffer yet; each sweeping thread
+        # keeps its own from the first step to the second
         count, _ = worker_count
+        monkeypatch.setattr(pool, "_pool", None)
+        calls, scratch = [], params._scratch
+
+        def recorded(size):
+            buf = scratch(size)
+            calls.append((threading.current_thread(), buf))
+            return buf
+
+        monkeypatch.setattr(params, "_scratch", recorded)
         store = make_store({"table": np.zeros((50002, 64))})
         store["table"].grad = np.random.default_rng(0).normal(size=(50002, 64))
-        clip_gradients(store, 1.0)
-        adam_step(store)
-        kept = [id(b) for b in store._buffers]
-        assert len(kept) == count and all(b.size == 2 * ADAM_BLOCK for b in store._buffers)
-        clip_gradients(store, 1.0)
-        adam_step(store)
-        assert [id(b) for b in store._buffers] == kept
+
+        def two_steps():
+            steps = []
+            for _ in range(2):
+                calls.clear()
+                clip_gradients(store, 1.0)
+                adam_step(store)
+                steps.append(list(calls))
+            return steps
+
+        first, second = in_a_fresh_thread(two_steps)
+        kept = {thread: buf.base for thread, buf in first}
+        assert len({id(b) for b in kept.values()}) == count and all(b.size == 2 * ADAM_BLOCK for b in kept.values())
+        assert second and all(thread in kept and buf.base is kept[thread] for thread, buf in second)
 
     def test_many_threads_update_every_block_once(self, monkeypatch):
         # more threads than CPUs, switching as often as the interpreter allows:

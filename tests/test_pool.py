@@ -61,7 +61,6 @@ class TestRun:
         # second piece must still find a pool thread
         monkeypatch.setattr(pool, "workers", lambda: 2)
         monkeypatch.setattr(pool, "_pool", None)
-        monkeypatch.setattr(pool, "_pool_threads", 0)
         release = threading.Event()
         started = pool.start(release.wait)
         try:
@@ -189,4 +188,35 @@ def test_early_update_keeps_the_checkpoint_bytes():
         assert (out.pop("early starts") > 0) == (cpus > 1)
         for name in ("default", "gate", "clipped"):
             assert out[f"{name} early"] == out[f"{name} plain"], (cpus, name)
+    assert runs[1] == runs.get(2, runs[1])
+
+
+# A step abandoned inside ``early_adam_step`` before its ``adam_step``: the
+# rows of a table with nonzero moments that moved, and a digest of the table
+# and its moments.
+ABANDON_AN_EARLY_STEP = """
+import hashlib, json
+import numpy as np
+from seq2label.numerics import ParameterStore, RngStream, early_adam_step
+rng = np.random.default_rng(0)
+store = ParameterStore()
+table = store.add("table", (8192, 64), RngStream(0))
+before = table.data.copy()
+store.load_adam_state({"step": 3, "m": {"table": rng.normal(size=(8192, 64))}, "v": {"table": rng.random((8192, 64))}})
+try:
+    with early_adam_step(store, "table", [5]):
+        raise KeyError("abandoned")
+except KeyError:
+    pass
+m, v = store.moments()
+print(json.dumps({"moved": int((table.data != before).any(axis=1).sum()),
+                  "digest": hashlib.sha256(table.data.tobytes() + m["table"].tobytes() + v["table"].tobytes()).hexdigest()}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_an_abandoned_early_step_leaves_the_same_store_at_one_cpu_and_two():
+    runs = {cpus: child(ABANDON_AN_EARLY_STEP, cpus) for cpus in (1, 2) if cpus <= len(os.sched_getaffinity(0))}
+    for out in runs.values():
+        assert out["moved"] == 15 * 512  # the rows of the 15 blocks that row 5 is not in
     assert runs[1] == runs.get(2, runs[1])
