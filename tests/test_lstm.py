@@ -303,7 +303,7 @@ class TestBidirectional:
     @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("lengths", [[40], [9, 1, 40, 6, 6, 1, 17], [160, 150, 170, 140]],
                              ids=["40", "packed-long", "batch-of-160"])
-    def test_gradients_do_not_depend_on_the_worker_count(self, lengths, count, monkeypatch):
+    def test_gradients_do_not_depend_on_the_worker_count(self, lengths, count, monkeypatch, fresh_pool):
         # the two directions' gradient products run at once from two workers
         # up: a batch of 620 rows splits as it is, shorter ones with SPLIT_MIN at 0
         monkeypatch.setattr(pool, "workers", lambda: count)

@@ -308,9 +308,10 @@ class TestClip:
 
 
 @pytest.fixture(params=[1, 2, 3])
-def worker_count(request, monkeypatch):
-    """The sweeps' worker count set to 1, 2 and 3, whatever the host has;
-    returns it with the list of piece counts ``params.run`` is given."""
+def worker_count(request, monkeypatch, fresh_pool):
+    """The sweeps' worker count set to 1, 2 and 3, whatever the host has, with
+    a pool of that size; returns it with the list of piece counts
+    ``params.run`` is given."""
     monkeypatch.setattr(pool, "workers", lambda: request.param)
     calls = []
     monkeypatch.setattr(params, "run", lambda pieces: calls.append(len(pieces)) or pool.run(pieces))
@@ -335,7 +336,6 @@ class TestWorkerCount:
         # a fresh pool, whose threads hold no buffer yet; each sweeping thread
         # keeps its own from the first step to the second
         count, _ = worker_count
-        monkeypatch.setattr(pool, "_pool", None)
         calls, scratch = [], params._scratch
 
         def recorded(size):
@@ -361,7 +361,7 @@ class TestWorkerCount:
         assert len({id(b) for b in kept.values()}) == count and all(b.size == 2 * ADAM_BLOCK for b in kept.values())
         assert second and all(thread in kept and buf.base is kept[thread] for thread, buf in second)
 
-    def test_many_threads_update_every_block_once(self, monkeypatch):
+    def test_many_threads_update_every_block_once(self, monkeypatch, fresh_pool):
         # more threads than CPUs, switching as often as the interpreter allows:
         # a block updated twice or skipped would move the weights off the oracle
         monkeypatch.setattr(pool, "workers", lambda: 8)
@@ -387,6 +387,7 @@ class TestWorkerCount:
                     assert np.array_equal(store._adam_m[f"p{i}"], m), (i, step)
         finally:
             sys.setswitchinterval(interval)
+        assert pool._pool._max_workers == 8  # the sweeps had eight threads
 
 
 class TestWorkerErrors:

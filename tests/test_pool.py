@@ -56,11 +56,10 @@ class TestRun:
             pool.run([fail, slow])
         assert done.is_set()
 
-    def test_a_started_piece_leaves_run_its_threads(self, monkeypatch):
+    def test_a_started_piece_leaves_run_its_threads(self, monkeypatch, fresh_pool):
         # a fresh pool at two CPUs: while a started piece blocks, run's
         # second piece must still find a pool thread
         monkeypatch.setattr(pool, "workers", lambda: 2)
-        monkeypatch.setattr(pool, "_pool", None)
         release = threading.Event()
         started = pool.start(release.wait)
         try:

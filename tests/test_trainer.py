@@ -180,7 +180,7 @@ class TestTrainEpoch:
 
 
     @pytest.mark.parametrize("failure", ["loss", "backward", "adam"])
-    def test_a_failing_batch_waits_for_its_early_update(self, monkeypatch, failure):
+    def test_a_failing_batch_waits_for_its_early_update(self, monkeypatch, failure, fresh_pool):
         # each early update sleeps first, so it is still running when the
         # batch fails; train_epoch must not raise before it has finished
         monkeypatch.setattr(pool, "workers", lambda: 2)
