@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .model import Seq2LabelModel
 from .numerics import no_grad
 
@@ -81,7 +81,9 @@ def decode(
     holds ``beam_size`` sequences, nothing is left to expand or ``max_steps``
     steps are done. Hypotheses still live then are finished with the terminal
     class one step later when ``close_out`` is set, and compete as they stand
-    otherwise.
+    otherwise. A hypothesis whose terminal probability there is 0.0 cannot be
+    finished and is dropped, as the search drops every child of probability
+    0.0; NumericError if that leaves no finished hypothesis.
 
     Two classes of one hypothesis whose probabilities differ but whose scores
     round to the same float go to the more probable class, the one the
@@ -136,8 +138,11 @@ def decode(
                 break
         if live and close_out:
             _, y, alpha = model.decoder_step(state, enc)
-            live = [hyp.child(eos, p, a) for hyp, p, a in zip(live, _rows(y, len(live)), _rows(alpha, len(live)))]
+            live = [hyp.child(eos, p, a) for hyp, p, a in zip(live, _rows(y, len(live)), _rows(alpha, len(live)))
+                    if p[eos] != 0.0]
         finished.extend(live)
+    if not finished:
+        raise NumericError("no hypothesis could be finished: the terminal class's probability is 0.0 for each")
     return min(finished, key=_sort_key)
 
 

@@ -12,7 +12,7 @@ a wrong greedy choice earlier in the sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -336,15 +336,16 @@ class Seq2LabelModel:
             new_layers.append((h, c))
             x = dropout(h, cfg.dropout, mode, rng) if layer + 1 < cfg.decoder_layers else h
         out, alpha = self.attend(new_layers[-1][0], enc, state.mask, targets)
+        # the head's [context, y, loss] columns, read out unchecked
         width, classes = 2 * cfg.encoder_hidden, self.num_labels + 1
-        y = out[..., width:width + classes]
+        y = _gather(out, (..., slice(width, width + classes)))
         next_state = DecoderState(
             layers=new_layers,
-            context=out[..., :width],
+            context=_gather(out, (..., slice(None, width))),
             y_prev=y,
             prev_class=state.prev_class,
             mask=state.mask,
-            loss=None if targets is None else out[..., width + classes],
+            loss=None if targets is None else _gather(out, (..., width + classes)),
         )
         return next_state, y, Tensor(alpha)
 
@@ -360,4 +361,4 @@ class Seq2LabelModel:
                 classes.size and not 0 <= classes.min() <= classes.max() < mask.shape[-1]
             ):
                 raise NumericError(f"emitted classes {emitted} out of range for a mask of shape {mask.shape}")
-        return replace(state, prev_class=emitted, mask=mask)
+        return DecoderState(state.layers, state.context, state.y_prev, emitted, mask, state.loss)

@@ -6,25 +6,32 @@ initializer.
 
 Weight layout: wx is (input_dim, 4H), wh is (H, 4H), b is (4H,), with the four
 gate blocks ordered input, forget, cell, output. Both ops share one step
-kernel (the logistic function over all 4H pre-activations, tanh on the cell
-block, then the state update), run on a (4H,) vector or on a block of rows,
-and one step backward, derived by hand from the saved gate values. The
-sequence op keeps its packed arrays as (N, D, ·), a direction axis inside
-the packed axis, so one step loop runs the kernel once per step on the
-(B_t, D, 4H) block of every direction, forward and in backpropagation
-through time.
+kernel, run on a (4H,) vector or on a block of rows, and one step backward,
+derived by hand from the saved gate values. The kernel takes all four gates
+with one tanh: the logistic function is 0.5 * tanh(0.5 * x) + 0.5, so a
+(4H,) scale and shift, built once per width, give the input, forget and
+output gates and, with scale 1 and no shift, the cell gate's tanh. The
+kernel then updates the state. It runs in place on the step's block of
+saved gate values, which already holds that step's pre-activations.
+
+The sequence op keeps its packed arrays as (N, D, ·), a direction axis
+inside the packed axis, so one step loop runs the kernel once per step on
+the (B_t, D, 4H) block of every direction, forward and in backpropagation
+through time. The biases are added into the input projection once per
+call, and each step writes its recurrent product straight into its block
+and adds the projection there, so a step makes no temporaries.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from ..errors import ShapeError
 from .params import ParameterStore
 from .pool import run, split
-from .tensor import Tensor, _accum, _node, _vecmat, logistic
+from .tensor import Tensor, _accum, _gather, _node, _vecmat
 
 
 def _check_weights(input_dim: int, hidden: int, wx: Tensor, wh: Tensor, b: Tensor) -> None:
@@ -38,16 +45,32 @@ def _check_weights(input_dim: int, hidden: int, wx: Tensor, wh: Tensor, b: Tenso
         raise ShapeError(f"b shape {b.data.shape} does not match hidden {hidden}")
 
 
+@lru_cache(maxsize=16)
+def _gate_affine(hd: int) -> tuple[np.ndarray, np.ndarray]:
+    """(4H,) scale and shift that turn one tanh into the four gates:
+    ``tanh(pre * scale) * scale + shift`` is 0.5 * tanh(0.5 * x) + 0.5, the
+    logistic function as ``tensor.logistic`` computes it, on the i, f and o
+    blocks, and tanh(x) on the g block, whose shift -0.0 leaves every value,
+    -0.0 too, as it is."""
+    scale, shift = np.full(4 * hd, 0.5), np.full(4 * hd, 0.5)
+    scale[2 * hd:3 * hd], shift[2 * hd:3 * hd] = 1.0, -0.0
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
+
+
 def _step(pre: np.ndarray, c: np.ndarray, a: np.ndarray, c_new: np.ndarray, tanh_c: np.ndarray, h: np.ndarray) -> None:
     """One cell update of (..., 4H) pre-activations from the previous cell
-    state, written into ``a`` (gate activations [i, f, g, o]), ``c_new``,
-    ``tanh_c`` (tanh of c') and ``h`` (h')."""
+    state, written into ``a`` (gate activations [i, f, g, o]; it may be
+    ``pre`` itself), ``c_new``, ``tanh_c`` (tanh of c') and ``h`` (h')."""
     hd = c.shape[-1]
-    logistic(pre, out=a)
-    g = a[..., 2 * hd:3 * hd]
-    np.tanh(pre[..., 2 * hd:3 * hd], out=g)
+    scale, shift = _gate_affine(hd)
+    np.multiply(pre, scale, out=a)
+    np.tanh(a, out=a)
+    a *= scale
+    a += shift
     np.multiply(a[..., hd:2 * hd], c, out=c_new)
-    c_new += a[..., :hd] * g
+    np.multiply(a[..., :hd], a[..., 2 * hd:3 * hd], out=tanh_c)  # i * g, before tanh_c takes tanh(c')
+    c_new += tanh_c
     np.tanh(c_new, out=tanh_c)
     np.multiply(a[..., 3 * hd:], tanh_c, out=h)
 
@@ -125,15 +148,17 @@ def _step_rows(sizes: list[int]) -> list[tuple]:
     return steps
 
 
-def _by_direction(block: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _by_direction(block: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each direction's rows of a (B, D, K) block, or its vector of a (D, K)
-    one, times that direction's (K, M) matrix in ``w`` (D, K, M). numpy's
-    stacked matmul runs one product per direction, on the strided (D, B, K)
-    view (a gemm) or on (D, 1, K) (a gemv), with the bits of that direction's
-    product taken alone."""
+    one, times that direction's (K, M) matrix in ``w`` (D, K, M), written
+    into ``out`` (a block of the result's shape) if given. numpy's stacked
+    matmul runs one product per direction, on the strided (D, B, K) view (a
+    gemm) or on (D, 1, K) (a gemv), with the bits of that direction's
+    product taken alone, into ``out``'s matching view as into a fresh
+    array."""
     if block.ndim == 2:
-        return np.matmul(block[:, None, :], w)[:, 0]
-    return np.matmul(block.swapaxes(0, 1), w).swapaxes(0, 1)
+        return np.matmul(block[:, None, :], w, out=None if out is None else out[:, None, :])[:, 0]
+    return np.matmul(block.swapaxes(0, 1), w, out=None if out is None else out.swapaxes(0, 1)).swapaxes(0, 1)
 
 
 def _directions(xs: Tensor, dirs: list[tuple[Tensor, Tensor, Tensor, bool]], lengths) -> Tensor:
@@ -144,7 +169,10 @@ def _directions(xs: Tensor, dirs: list[tuple[Tensor, Tensor, Tensor, bool]], len
     Every direction packs the documents with the same ``sizes`` (``_pack``),
     so one loop steps them all: the packed arrays are (N, D, ·), each step's
     block ``[now]`` is contiguous, and its recurrence is one stacked matmul
-    (``_by_direction``) against the directions' ``wh`` stacked once per call.
+    (``_by_direction``) against the directions' ``wh`` stacked once per call,
+    written into the step's block of ``acts``. The step then adds the packed
+    input projection (biases included) there, and the kernel turns the block
+    into the gate values in place.
     """
     x = xs.data
     if x.ndim != 2 or x.shape[0] == 0:
@@ -156,17 +184,23 @@ def _directions(xs: Tensor, dirs: list[tuple[Tensor, Tensor, Tensor, bool]], len
     rows, sizes = [r for r, _ in packs], packs[0][1]
     nd = len(dirs)
     proj = np.empty((n, nd, 4 * hd))
-    for d, (wx, *_) in enumerate(dirs):
-        proj[:, d] = (x @ wx.data)[rows[d]]
+    for d, (wx, _, b, _) in enumerate(dirs):
+        xw = x @ wx.data
+        xw += b.data
+        proj[:, d] = xw[rows[d]]
     w_h = np.stack([wh.data for _, wh, _, _ in dirs])
-    bias = np.stack([b.data for _, _, b, _ in dirs])
     # packed per-step results, kept for backward
     acts, cells, hs = np.empty((n, nd, 4 * hd)), np.empty((n, nd, hd)), np.empty((n, nd, hd))
     tanh_step = np.empty((sizes[0], nd, hd))
     steps = _step_rows(sizes)
     for now, prev, mine in steps:
-        h, c = (hs[prev], cells[prev]) if prev is not None else (np.zeros(hs[now].shape),) * 2
-        _step(proj[now] + _by_direction(h, w_h) + bias, c, acts[now], cells[now], tanh_step[mine], hs[now])
+        a = acts[now]
+        if prev is None:  # from the zero state: the projection alone
+            _step(proj[now], np.zeros(a.shape[:-1] + (hd,)), a, cells[now], tanh_step[mine], hs[now])
+            continue
+        _by_direction(hs[prev], w_h, out=a)
+        a += proj[now]
+        _step(a, cells[prev], a, cells[now], tanh_step[mine], hs[now])
     out = np.concatenate([_unpack(hs[:, d], rows[d]) for d in range(nd)], axis=1)
 
     def bw(g, xs=xs, dirs=dirs):
@@ -183,7 +217,7 @@ def _directions(xs: Tensor, dirs: list[tuple[Tensor, Tensor, Tensor, bool]], len
             c_prev = cells[prev] if prev is not None else np.zeros(dh_t.shape)
             _step_back(dh_t, dc[mine], acts[now], d_pre[now], c_prev,
                        tanh_c[now], dtanh_c[now], d_act[mine], d_pre[now])
-            dh[mine] = _by_direction(d_pre[now], w_ht)
+            _by_direction(d_pre[now], w_ht, out=dh[mine])
         # h_prev of every packed position after step 0: the same document's
         # previous step, sizes[t - 1] positions back
         after = sizes[0]
@@ -256,10 +290,12 @@ def lstm_cell_step(
                          f"{xd.shape}, {hd.shape}, {c.data.shape}")
     _check_weights(xd.shape[-1], hd.shape[-1], wx, wh, b)
     n, hidden = hd.shape[0], hd.shape[-1]
-    act, tanh_c = np.empty(hd.shape[:-1] + (4 * hidden,)), np.empty(hd.shape)
-    cell = np.empty((2 * n,) + hd.shape[1:])
-    pre = _vecmat(xd, wx.data) + _vecmat(hd, wh.data)
-    _step(pre + b.data, c.data, act, cell[n:], tanh_c, cell[:n])
+    tanh_c, cell = np.empty(hd.shape), np.empty((2 * n,) + hd.shape[1:])
+    # the pre-activations, turned into the gate values in place
+    act = _vecmat(xd, wx.data)
+    act += _vecmat(hd, wh.data)
+    act += b.data
+    _step(act, c.data, act, cell[n:], tanh_c, cell[:n])
 
     def bw(g, x=x, h=h, c=c, wx=wx, wh=wh, b=b):
         d_pre, dc = np.empty(act.shape), g[n:].copy()
@@ -275,7 +311,7 @@ def lstm_cell_step(
         _accum(c, dc)
 
     cell = _node(cell, (x, h, c, wx, wh, b), bw)
-    return cell[:n], cell[n:]
+    return _gather(cell, slice(None, n)), _gather(cell, slice(n, None))
 
 
 def add_lstm_params(

@@ -289,14 +289,21 @@ def tanh(t: Tensor) -> Tensor:
 
 
 def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Overflow-free logistic function of an array, written into ``out`` if given.
+    """Logistic function of an array, written into ``out`` if given (which
+    may be ``x`` itself).
 
-    exp only ever sees values <= 0: with e = exp(-|x|) the result is
-    1 / (1 + e) for x >= 0 and e / (1 + e) below, and exp(min(x, 0)) is
-    exactly that numerator (1, or e) without a select.
+    It is 0.5 * tanh(0.5 * x) + 0.5: one tanh, which cannot overflow, so
+    -inf and +inf give exactly 0 and 1 and NaN stays NaN. The LSTM step
+    kernel (``numerics.lstm``) computes its input, forget and output gates
+    with these same operations, so the two agree bit for bit.
     """
-    e = np.exp(-np.abs(x))
-    return np.divide(np.exp(np.minimum(x, 0.0)), 1.0 + e, out=out)
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def sigmoid(t: Tensor) -> Tensor:

@@ -17,7 +17,7 @@ import pytest
 from seq2label import checkpoint, cli, inference, synthetic
 from seq2label.checkpoint import load_checkpoint, save_checkpoint
 from seq2label.cli import RunConfig, main, read_config_file
-from seq2label.corpus import LabelVocabulary, Vocabulary, write_jsonl
+from seq2label.corpus import LabelVocabulary, Vocabulary, build_vocab, write_jsonl
 from seq2label.errors import ConfigError, NumericError
 from seq2label.model import ModelConfig, Seq2LabelModel
 from seq2label.numerics import RngStream, pool
@@ -434,6 +434,26 @@ class TestExitCodes:
         )
         assert code == 3
         assert "error:" in err
+
+    def test_close_out_without_terminal_probability_exits_three(self, tmp_path, capsys, starve_terminal):
+        # a beam still live at the step limit whose terminal class's
+        # probability underflows to 0.0 has nothing to finish with
+        records = [
+            {"text": "the cafe door", "labels": ["food", "place"]},
+            {"text": "loud music tonight", "labels": ["music"]},
+            {"text": "cafe music", "labels": ["food", "music"]},
+        ]
+        vocab, lv = build_vocab(records, 100)
+        cfg = ModelConfig(embed_size=4, encoder_hidden=3, decoder_hidden=4)
+        model = starve_terminal(Seq2LabelModel(cfg, len(vocab), len(lv), RngStream(0)))
+        ckpt, inp, out = (str(tmp_path / name) for name in ("m.ckpt", "in.jsonl", "p.jsonl"))
+        save_checkpoint(ckpt, model, vocab, lv)
+        write_jsonl(inp, [{"text": "cafe music tonight"}])
+        code, _, err = run(["predict", "--checkpoint", ckpt, "--input", inp, "--out", out,
+                            "--beam", "2", "--max-steps", "1"], capsys)
+        assert code == 3
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not os.path.exists(out)
 
     def test_overflowing_training_exits_three_without_a_checkpoint(self, tmp_path, capsys):
         # a step this large overflows the weights in the first batch; the run

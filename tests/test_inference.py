@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import beam_oracle, exhaustive_decode, greedy_oracle
-from seq2label.errors import ConfigError
+from seq2label.errors import ConfigError, NumericError
 from seq2label.inference import (
     beam_search,
     decode,
@@ -245,6 +245,33 @@ class TestBeamSearch:
             beam_search(model, tokens, beam_size=0)
         with pytest.raises(ConfigError):
             beam_search(model, tokens, beam_size=2, max_steps=0)
+
+
+class TestCloseOutWithoutTerminalProbability:
+    """A hypothesis still live at the step limit whose terminal probability
+    is 0.0 cannot be finished: it has no log-probability."""
+
+    @staticmethod
+    def model(starve):
+        cfg = ModelConfig(embed_size=4, encoder_hidden=3, decoder_hidden=4)
+        return starve(Seq2LabelModel(cfg, 8, 3, RngStream(0))), np.array([2, 5, 3])
+
+    def test_the_terminal_probability_is_zero(self, starve_terminal):
+        model, tokens = self.model(starve_terminal)
+        _, y, _ = model.decoder_step(model.init_state(), model.encode(tokens))
+        assert y.data[model.eos_class] == 0.0 and y.data[0] > 0.0
+
+    def test_beam_search_raises_numeric_error(self, starve_terminal):
+        model, tokens = self.model(starve_terminal)
+        for search in (lambda: beam_search(model, tokens, beam_size=2, max_steps=1),
+                       lambda: predict_set(model, tokens, 2, 1)):
+            with pytest.raises(NumericError, match="terminal class's probability is 0.0"):
+                search()
+
+    def test_a_search_that_stops_without_close_out_is_unaffected(self, starve_terminal):
+        model, tokens = self.model(starve_terminal)
+        seq, logp = greedy_decode(model, tokens, max_steps=2)
+        assert len(seq) == 2 and model.eos_class not in seq and math.isfinite(logp)
 
 
 class TestLabelSets:

@@ -19,7 +19,8 @@ from seq2label.numerics import (
     lstm_sequence,
 )
 from seq2label.numerics import lstm, pool
-from seq2label.numerics.lstm import _by_direction
+from seq2label.numerics.lstm import _by_direction, _step
+from seq2label.numerics.tensor import logistic
 from seq2label.trainer import sequence_loss
 
 
@@ -29,6 +30,19 @@ def random_weights(rng, in_dim, hidden, scale=0.5):
         rng.normal(size=(hidden, 4 * hidden)) * scale,
         rng.normal(size=4 * hidden) * scale,
     )
+
+
+def saturating(rng, hidden):
+    """A (4H,) push to the bias that takes unit 0, 2, ... of every gate to a
+    pre-activation of |x| about 40 to 60, where the gates round to exactly 0
+    or 1; the other units stay where they were."""
+    push = np.zeros(4 * hidden)
+    push[::2] = rng.choice([-1.0, 1.0], size=2 * hidden) * rng.uniform(40.0, 60.0, size=2 * hidden)
+    return push
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 def numeric_grad(fn, arr, eps=1e-6):
@@ -137,6 +151,34 @@ def test_param_helper_sets_forget_bias():
     assert np.all(b.data[4:8] == 1.0)
     assert np.all(np.abs(b.data[:4]) <= 0.1)
     assert set(store.names()) == {"cell.wx", "cell.wh", "cell.b"}
+
+
+class TestStepKernel:
+    """One tanh gives all four gates: the i, f and o blocks are ``logistic``
+    and the g block is tanh, bit for bit, in place or not."""
+
+    @pytest.mark.parametrize("hidden", [1, 4, 64])
+    def test_gates_are_logistic_and_tanh_bit_for_bit(self, hidden):
+        rng = np.random.default_rng(30 + hidden)
+        pre = rng.normal(size=(5, 2, 4 * hidden)) * rng.choice([1.0, 10.0, 60.0, 800.0], size=(5, 2, 4 * hidden))
+        gate_starts = np.arange(4) * hidden
+        for row, value in enumerate([0.0, -0.0, np.inf, -np.inf]):
+            pre[row // 2, row % 2, gate_starts] = value
+        c = rng.normal(size=(5, 2, hidden))
+        a, c_new, tanh_c, h = np.empty(pre.shape), np.empty(c.shape), np.empty(c.shape), np.empty(c.shape)
+        _step(pre, c, a, c_new, tanh_c, h)
+        i, f, g, o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+        for gate in (i, f, o):
+            assert np.array_equal(bits(a[..., gate]), bits(logistic(pre[..., gate])))
+        assert np.array_equal(bits(a[..., g]), bits(np.tanh(pre[..., g])))
+        assert np.array_equal(c_new, a[..., f] * c + a[..., i] * a[..., g])
+        assert np.array_equal(tanh_c, np.tanh(c_new))
+        assert np.array_equal(h, a[..., o] * tanh_c)
+        # in place, as the sequence op and the cell step run it
+        block, c_in, tanh_in, h_in = pre.copy(), np.empty(c.shape), np.empty(c.shape), np.empty(c.shape)
+        _step(block, c, block, c_in, tanh_in, h_in)
+        for got, want in ((block, a), (c_in, c_new), (tanh_in, tanh_c), (h_in, h)):
+            assert np.array_equal(bits(got), bits(want))
 
 
 class TestSequence:
@@ -320,6 +362,16 @@ class TestBidirectional:
         weights = np.random.default_rng(3).normal(size=(sum(lengths), 4))
         check_grads(lambda xs, *w: (bilstm_sequence(xs, w[:3], w[3:], lengths) * Tensor(weights)).sum(), *arrays)
 
+    @pytest.mark.parametrize("lengths", [[4], [3, 1, 4, 1]], ids=["lone", "packed"])
+    def test_gradients_match_finite_differences_at_saturation(self, lengths):
+        rng = np.random.default_rng(80 + len(lengths))
+        xs, *weights = self.arrays(lengths, 70 + len(lengths), hidden=2, in_dim=3)
+        for b in (weights[2], weights[5]):
+            b += saturating(rng, 2)
+        out_weights = rng.normal(size=(sum(lengths), 4))
+        check_grads(lambda xs, *w: (bilstm_sequence(xs, w[:3], w[3:], lengths) * Tensor(out_weights)).sum(),
+                    xs, *weights)
+
     def test_records_one_node(self):
         xs = Tensor(np.ones((6, 5)), requires_grad=True)
         weights = [Tensor(a) for a in self.arrays([6], 0, 2)[1:4]]
@@ -374,6 +426,25 @@ class TestStackedDirectionProducts:
                     assert np.array_equal(rec[..., k, :], h_k @ wh[k]), (self.ASSUMPTION, "forward", hidden, rows)
                     assert np.array_equal(back[..., k, :], d_k @ wh[k].T), (self.ASSUMPTION, "backward", hidden, rows)
 
+    def test_products_written_into_a_step_block_keep_their_bits(self):
+        # the step loops write each stacked product straight into the step's
+        # block of a packed array: through a strided (D, B, ·) view of a
+        # (B, D, ·) block, or a (D, 1, ·) view of one row's (D, ·) block
+        assumption = ("numpy assumption broken: a stacked matmul into a strided out= no longer gives "
+                      "the bits of the fresh product, so the in-place step drifts from the products "
+                      "taken alone")
+        rng = np.random.default_rng(13)
+        for hidden in (8, 64):
+            stacked = rng.normal(size=(2, hidden, 4 * hidden))
+            for rows in range(1, 17):
+                at = 3 if rows == 1 else slice(3, 3 + rows)
+                hs, d_pre = rng.normal(size=(40, 2, hidden)), rng.normal(size=(40, 2, 4 * hidden))
+                acts, dh = np.empty((40, 2, 4 * hidden)), np.empty((40, 2, hidden))
+                for block, w, out in ((hs[at], stacked, acts[at]), (d_pre[at], stacked.swapaxes(1, 2), dh[at])):
+                    written = _by_direction(block, w, out=out)
+                    assert np.shares_memory(written, out), (hidden, rows)
+                    assert np.array_equal(bits(out), bits(_by_direction(block, w))), (assumption, hidden, rows)
+
 
 class TestCell:
     def test_gradients_match_finite_differences(self):
@@ -412,6 +483,22 @@ class TestCell:
         x, h, c = rng.normal(size=(3, 3)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
         wx, wh, b = random_weights(rng, 3, 2)
         rh, rc = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+
+        def build(x, h, c, wx, wh, b):
+            h1, c1 = lstm_cell_step(x, (h, c), wx, wh, b)
+            h2, c2 = lstm_cell_step(x, (h1, c1), wx, wh, b)
+            return (h2 * Tensor(rh)).sum() + (c2 * Tensor(rc)).sum() + (h1 * Tensor(rc)).sum()
+
+        check_grads(build, x, h, c, wx, wh, b)
+
+    @pytest.mark.parametrize("rows", [None, 3], ids=["vector", "batched"])
+    def test_gradients_match_finite_differences_at_saturation(self, rows):
+        rng = np.random.default_rng(11)
+        lead = () if rows is None else (rows,)
+        x, h, c = rng.normal(size=lead + (3,)), rng.normal(size=lead + (2,)), rng.normal(size=lead + (2,))
+        wx, wh, b = random_weights(rng, 3, 2)
+        b += saturating(rng, 2)
+        rh, rc = rng.normal(size=lead + (2,)), rng.normal(size=lead + (2,))
 
         def build(x, h, c, wx, wh, b):
             h1, c1 = lstm_cell_step(x, (h, c), wx, wh, b)
