@@ -85,10 +85,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     The model is built without drawing initial values, its names and shapes
     are checked against the tensor manifest before any tensor is read, and
     each tensor is read once, straight into the array that keeps it. An
-    unreadable file, a malformed header, vocabularies whose sizes differ
-    from the model's, a manifest that differs from the model's, a file
-    longer or shorter than the manifest, or a stored value that is not
-    finite raise DataError.
+    unreadable file, a malformed header, a negative Adam step, vocabularies
+    whose sizes differ from the model's, a manifest that differs from the
+    model's, a file longer or shorter than the manifest, or a stored value
+    that is not finite raise DataError.
     """
     try:
         f = open(path, "rb")
@@ -124,6 +124,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             )
         if max_label_steps < 1:
             raise DataError(f"{path} header has max_label_steps {max_label_steps}, below 1")
+        if adam_steps < 0:
+            raise DataError(f"{path} header has Adam step {adam_steps}, below 0")
         model = Seq2LabelModel(config, vocab_size, num_labels, _NoDraw())
         params = model.params
         names = params.names()

@@ -148,8 +148,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v is not None
     }
     cfg = replace(cfg, **overrides)
-    if getattr(args, "greedy", None):
-        cfg = replace(cfg, beam=1)
     if cfg.beam < 1:
         raise ConfigError(f"beam must be at least 1, got {cfg.beam}")
     if cfg.max_steps is not None and cfg.max_steps < 1:
@@ -437,25 +435,24 @@ _HELP = {
 }
 
 _MODEL_KEYS = tuple(f.name for f in _library_fields(ModelConfig))
-_TRAIN_KEYS = (
-    "train", "valid", "vocab", "label_vocab", "vocab_size", "max_len",
-    "epochs", "batch_size", "learning_rate", "clip_norm", "no_mask", "shuffle_labels",
+_TRAIN_KEYS = ("train", "valid", "vocab", "label_vocab", "vocab_size", "max_len", "no_mask") + tuple(
+    f.name for f in fields(TrainConfig)
 )
 _DECODE_KEYS = ("beam", "max_steps")
 
-# subcommand -> (handler, help, config keys that get a flag besides --seed and --out)
+# subcommand -> (handler, help, the RunConfig fields its handler reads, a flag each)
 _COMMANDS = {
     "build-vocab": (cmd_build_vocab, "count tokens and labels, write both vocabularies",
-                    ("train", "vocab", "label_vocab", "vocab_size")),
+                    ("train", "vocab", "label_vocab", "vocab_size", "out")),
     "train": (cmd_train, "train a model and write a checkpoint",
               _TRAIN_KEYS + _MODEL_KEYS + ("checkpoint", "report")),
     "evaluate": (cmd_evaluate, "score a checkpoint on a labeled test set",
-                 _DECODE_KEYS + ("checkpoint", "test", "max_len", "lls_buckets")),
+                 _DECODE_KEYS + ("checkpoint", "test", "max_len", "lls_buckets", "out")),
     "predict": (cmd_predict, "decode label sets for unlabeled inputs",
-                _DECODE_KEYS + ("checkpoint", "input", "max_len", "attn")),
+                _DECODE_KEYS + ("checkpoint", "input", "max_len", "attn", "out")),
     "ablate": (cmd_ablate, "train the base setup and its ablation variants",
-               _TRAIN_KEYS + _MODEL_KEYS + _DECODE_KEYS + ("test", "lambda_list")),
-    "synth": (cmd_synth, "write the built-in synthetic corpora as JSONL", ()),
+               _TRAIN_KEYS + _MODEL_KEYS + _DECODE_KEYS + ("test", "lambda_list", "out")),
+    "synth": (cmd_synth, "write the built-in synthetic corpora as JSONL", ("seed", "out")),
 }
 
 
@@ -470,14 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (func, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
-        for key in ("seed", "out") + keys:
+        for key in keys:
             if _FIELD_TYPES[key] == "bool":
                 kind = {"action": "store_true", "default": None}
             else:
                 kind = {"type": _field_parser(key), "choices": GE_MODES if key == "ge_mode" else None}
             p.add_argument(_flag(key), help=_HELP.get(key), **kind)
-        if "beam" in keys:
-            p.add_argument("--greedy", action="store_true", default=None, help="shorthand for --beam 1")
         p.set_defaults(func=func)
     return parser
 

@@ -132,16 +132,22 @@ class ParameterStore:
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
+    def _check_like_params(self, values: dict, kind: str) -> None:
+        """Raise ConfigError unless ``values`` holds one array per parameter,
+        by name, each of its parameter's shape."""
         if set(values) != set(self._params):
             missing = set(self._params) - set(values)
             extra = set(values) - set(self._params)
-            raise ConfigError(f"parameter name mismatch: missing={sorted(missing)}, extra={sorted(extra)}")
+            raise ConfigError(f"{kind} name mismatch: missing={sorted(missing)}, extra={sorted(extra)}")
         for name, arr in values.items():
-            t = self._params[name]
-            if arr.shape != t.data.shape:
-                raise ConfigError(f"shape mismatch for {name!r}: {arr.shape} vs {t.data.shape}")
-            t.data = np.ascontiguousarray(arr, dtype=np.float64)
+            want = self._params[name].data.shape
+            if np.shape(arr) != want:
+                raise ConfigError(f"{kind} shape mismatch for {name!r}: {np.shape(arr)} vs {want}")
+
+    def load_values(self, values: dict[str, np.ndarray]) -> None:
+        self._check_like_params(values, "parameter")
+        for name, arr in values.items():
+            self._params[name].data = np.ascontiguousarray(arr, dtype=np.float64)
 
     def adam_state(self) -> dict:
         return {
@@ -156,7 +162,15 @@ class ParameterStore:
         return self._adam_m, self._adam_v
 
     def load_adam_state(self, state: dict) -> None:
-        self.step_count = int(state["step"])
+        """Set the step count and both moments; a negative step, or moments
+        whose names or shapes differ from the parameters', raise ConfigError
+        before anything is set."""
+        step = int(state["step"])
+        if step < 0:
+            raise ConfigError(f"Adam step must be non-negative, got {step}")
+        self._check_like_params(state["m"], "Adam m")
+        self._check_like_params(state["v"], "Adam v")
+        self.step_count = step
         for k in self._params:
             self._adam_m[k] = np.ascontiguousarray(state["m"][k], dtype=np.float64)
             self._adam_v[k] = np.ascontiguousarray(state["v"][k], dtype=np.float64)
@@ -209,13 +223,14 @@ def clip_gradients(store: ParameterStore, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the applied factor. A no-op (factor 1.0) when already within the
-    bound; the small tolerance keeps a second clip from rescaling a result
-    that sits on the boundary only because of rounding. A non-finite gradient
+    bound, as always with ``max_norm`` inf; the small tolerance keeps a
+    second clip from rescaling a result that sits on the boundary only
+    because of rounding. A non-finite gradient
     raises NumericError naming its parameter before anything is scaled.
     Inside ``early_adam_step`` the table's blocks that hold no reached row
     stay +0.0 without a pass.
     """
-    if max_norm <= 0:
+    if not max_norm > 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
     norm = store.grad_norm()
     scale = 1.0
@@ -247,10 +262,12 @@ def clip_gradients(store: ParameterStore, max_norm: float) -> float:
 
 def _rule(t: int, lr: float, beta1: float, beta2: float, eps: float) -> tuple[float, ...]:
     """Adam's constants at step ``t``, the trailing arguments of ``_update``."""
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
+    if not 0 < lr < math.inf:
+        raise ConfigError(f"learning rate must be positive and finite, got {lr}")
     if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
         raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
+    if not 0 < eps < math.inf:
+        raise ConfigError(f"eps must be positive and finite, got {eps}")
     return lr, beta1, beta2, eps, 1.0 - beta1 ** t, 1.0 - beta2 ** t
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -16,13 +17,13 @@ from .numerics import RngStream, Tensor, adam_step, clip_gradients, concat, earl
 
 @dataclass
 class TrainConfig:
+    """Adam takes ``learning_rate``; its β1, β2 and ε are ``adam_step``'s
+    defaults (0.9, 0.999 and 1e-8)."""
+
     epochs: int = 10
     batch_size: int = 8
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    clip_norm: float = 10.0
+    clip_norm: float = 10.0  # inf never clips
     seed: int = 0
     shuffle_labels: bool = False
 
@@ -31,14 +32,12 @@ class TrainConfig:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ConfigError(f"betas must be in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
-        if self.clip_norm <= 0:
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -142,17 +141,16 @@ def train_epoch(
     """
     total = 0.0
     count = 0
-    adam = (config.learning_rate, config.beta1, config.beta2, config.adam_eps)
     for bi, batch in enumerate(batches):
         model.params.zero_grads()
         try:
             with (
                 np.errstate(over="raise", invalid="raise"),
-                early_adam_step(model.params, "embed.tokens", batch.token_ids, *adam),
+                early_adam_step(model.params, "embed.tokens", batch.token_ids, config.learning_rate),
             ):
                 total += _backward_batch(model, batch, bi, rng)
                 clip_gradients(model.params, config.clip_norm)
-                adam_step(model.params, *adam)
+                adam_step(model.params, config.learning_rate)
         except FloatingPointError as e:
             raise NumericError(f"{e} in batch {bi}") from None
         count += len(batch)

@@ -306,7 +306,8 @@ class TestCorruption:
         lambda h: h.update(label_vocab="".join(h["label_vocab"].splitlines(keepends=True)[:-1])),
         lambda h: h.update(vocab=5),
         lambda h: h.update(max_label_steps=0),
-    ], ids=["more-tokens", "fewer-labels", "vocab-not-text", "no-steps"])
+        lambda h: h.update(adam={"saved": False, "step": -1}),
+    ], ids=["more-tokens", "fewer-labels", "vocab-not-text", "no-steps", "negative-adam-step"])
     def test_header_inconsistent_with_model(self, tmp_path, mutate):
         path = self.make(tmp_path)
         tamper_header(path, mutate)

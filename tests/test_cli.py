@@ -1,5 +1,6 @@
 """Command-line behavior: pipelines over temp files, config layering, exit codes."""
 
+import argparse
 import contextlib
 import json
 import math
@@ -203,14 +204,6 @@ class TestPredict:
         assert "error" in rows[0] and "labels" not in rows[0]
         assert rows[1]["index"] == 1 and "labels" in rows[1]
 
-    def test_greedy_flag_matches_beam_one(self, workdir, tmp_path, capsys):
-        inp = str(tmp_path / "in.jsonl")
-        write_jsonl(inp, [{"text": "doc02 f08 f09 f10"}])
-        base = ["predict", "--checkpoint", workdir["ckpt"], "--input", inp]
-        _, greedy_out, _ = run(base + ["--greedy"], capsys)
-        _, beam1_out, _ = run(base + ["--beam", "1"], capsys)
-        assert greedy_out == beam1_out
-
     def test_attention_sidecar(self, workdir, tmp_path, capsys):
         inp = str(tmp_path / "in.jsonl")
         write_jsonl(inp, [{"text": "doc03 f12 f13"}])
@@ -334,8 +327,7 @@ class TestConfigFile:
             "embed_size": ("3", 3), "encoder_hidden": ("4", 4), "decoder_hidden": ("5", 5),
             "encoder_layers": ("2", 2), "decoder_layers": ("2", 2), "dropout": ("0.25", 0.25),
             "ge_mode": ("gate", "gate"), "ge_lambda": ("1", 1.0), "epochs": ("3", 3),
-            "batch_size": ("2", 2), "learning_rate": ("0.5", 0.5), "beta1": ("0.8", 0.8),
-            "beta2": ("0.99", 0.99), "adam_eps": ("1e-6", 1e-6), "clip_norm": ("5", 5.0),
+            "batch_size": ("2", 2), "learning_rate": ("0.5", 0.5), "clip_norm": ("5", 5.0),
             "seed": ("11", 11), "no_mask": ("true", True), "shuffle_labels": ("on", True),
             "beam": ("4", 4), "max_steps": ("6", 6), "lls_buckets": ("1", True),
             "lambda_list": ("0.1,0.2", "0.1,0.2"),
@@ -350,6 +342,17 @@ class TestConfigFile:
         cfg.write_text("use_mask = true\n")
         with pytest.raises(ConfigError, match="unknown option"):
             read_config_file(str(cfg))
+
+    def test_every_flag_is_a_run_config_field(self):
+        # --config names the file the other options come from
+        names = {f.name for f in fields(RunConfig)}
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command, parser in sub.choices.items():
+            flags = {a.dest for a in parser._actions if a.option_strings and a.dest not in ("help", "config")}
+            assert flags <= names, (command, sorted(flags - names))
+        library = {f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls)} - {"use_mask"}
+        train_flags = {a.dest for a in sub.choices["train"]._actions}
+        assert library <= train_flags
 
     def test_config_error_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -434,6 +437,24 @@ class TestExitCodes:
         )
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv, config", [
+        (["train", "--train", "{train}", "--checkpoint", "{tmp}/m.ckpt", "--out", "{tmp}/x.json"], None),
+        (["evaluate", "--checkpoint", "{ckpt}", "--test", "{test}", "--seed", "0"], None),
+        (["predict", "--checkpoint", "{ckpt}", "--input", "{test}", "--greedy"], None),
+        *[(["train", "--config", "{tmp}/run.cfg", "--train", "{train}", "--checkpoint", "{tmp}/m.ckpt"],
+           f"{key} = {value}\n") for key, value in (("beta1", 0.9), ("beta2", 0.999), ("adam-eps", 1e-8))],
+    ], ids=["train-out", "evaluate-seed", "predict-greedy", "config-beta1", "config-beta2", "config-adam-eps"])
+    def test_removed_option_exits_one(self, workdir, tmp_path, capsys, argv, config):
+        # options no command reads are not accepted
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+        names = dict(train=workdir["train"], test=workdir["test"], ckpt=workdir["ckpt"], tmp=str(tmp_path))
+        code, out, err = run([a.format(**names) for a in argv], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""
+        assert os.listdir(tmp_path) == ([] if config is None else ["run.cfg"])
 
     def test_close_out_without_terminal_probability_exits_three(self, tmp_path, capsys, starve_terminal):
         # a beam still live at the step limit whose terminal class's
@@ -542,6 +563,10 @@ class TestCheckpointErrors:
         assert not os.path.exists(out)
 
 
+TRAIN_VOCABS = ["train", "--train", "{train}", "--checkpoint", "{tmp}/m.ckpt",
+                "--vocab", "{tmp}/v.tsv", "--label-vocab", "{tmp}/l.tsv"]
+
+
 class TestOutputPaths:
     """An output that cannot be written exits 2 before any data is read or trained on."""
 
@@ -583,9 +608,18 @@ class TestOutputPaths:
         ["evaluate", "--checkpoint", "{ckpt}", "--test", "{test}", "--out", "{tmp}/m.json", "--max-len", "0"],
         ["predict", "--checkpoint", "{ckpt}", "--input", "{in}", "--out", "{tmp}/p.jsonl", "--max-len", "0"],
         ["ablate", "--train", "{train}", "--test", "{test}", "--out", "{tmp}/a.json", "--max-len", "-1"],
+        # refused by TrainConfig before the vocabularies are built and written
+        [*TRAIN_VOCABS, "--learning-rate", "nan"],
+        [*TRAIN_VOCABS, "--learning-rate", "inf"],
+        [*TRAIN_VOCABS, "--clip-norm", "nan"],
+        [*TRAIN_VOCABS, "--seed", "-1"],
+        ["ablate", "--train", "{train}", "--test", "{test}", "--out", "{tmp}/a.json",
+         "--vocab", "{tmp}/v.tsv", "--label-vocab", "{tmp}/l.tsv", "--seed", "-1"],
     ], ids=["predict-zero-steps", "synth-negative-seed", "build-vocab-empty-path",
             "build-vocab-zero-vocab-size", "train-negative-vocab-size", "ablate-zero-vocab-size",
-            "train-zero-max-len", "evaluate-zero-max-len", "predict-zero-max-len", "ablate-negative-max-len"])
+            "train-zero-max-len", "evaluate-zero-max-len", "predict-zero-max-len", "ablate-negative-max-len",
+            "train-nan-learning-rate", "train-inf-learning-rate", "train-nan-clip-norm", "train-negative-seed",
+            "ablate-negative-seed"])
     def test_bad_option_exits_one_before_writing(self, inputs, tmp_path, capsys, argv):
         code, _, err = run([a.format(**inputs, tmp=str(tmp_path)) for a in argv], capsys)
         assert code == 1
@@ -771,7 +805,7 @@ class TestAblate:
         out_path = str(tmp_path / "ablate.json")
         code, _, err = run(
             ["ablate", "--train", train, "--test", train, "--out", out_path,
-             "--lambda-list", "0.5", "--greedy"] + FAST,
+             "--lambda-list", "0.5", "--beam", "1"] + FAST,
             capsys,
         )
         assert code == 0

@@ -199,10 +199,36 @@ class TestAdam:
 
     def test_rejects_bad_hyperparameters(self):
         store = make_store({"w": np.ones(1)})
-        with pytest.raises(ConfigError):
-            adam_step(store, lr=0.0)
-        with pytest.raises(ConfigError):
-            adam_step(store, beta1=1.0)
+        store["w"].grad = np.ones(1)
+        for hyper in (dict(lr=0.0), dict(lr=math.nan), dict(lr=math.inf), dict(beta1=1.0), dict(beta2=math.nan),
+                      dict(eps=0.0), dict(eps=math.nan), dict(eps=math.inf)):
+            with pytest.raises(ConfigError):
+                adam_step(store, **hyper)
+            with pytest.raises(ConfigError):
+                with early_adam_step(store, "w", [0], **hyper):
+                    pass
+        assert store.step_count == 0 and np.array_equal(store["w"].data, np.ones(1))
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda s: s.update(step=-1), "step"),
+        (lambda s: s["m"].pop("w"), "Adam m name mismatch"),
+        (lambda s: s["v"].update(extra=np.ones(1)), "Adam v name mismatch"),
+        (lambda s: s["m"].update(w=np.ones(1)), "Adam m shape mismatch for 'w'"),
+        (lambda s: s["v"].update(w=np.ones((3, 4))), "Adam v shape mismatch for 'w'"),
+    ], ids=["negative-step", "missing-name", "extra-name", "short-moment", "transposed-moment"])
+    def test_bad_adam_state_is_refused_before_loading(self, edit, match):
+        # a negative step would divide by 1 - beta1**0 = 0 at the next update,
+        # and a moment of the wrong shape would fail inside it
+        store = make_store({"w": np.zeros((4, 3)), "b": np.zeros(2)})
+        before = store.adam_state()
+        state = {"step": 3, **{key: {"w": np.ones((4, 3)), "b": np.ones(2)} for key in ("m", "v")}}
+        edit(state)
+        with pytest.raises(ConfigError, match=match):
+            store.load_adam_state(state)
+        after = store.adam_state()
+        assert after["step"] == before["step"] == 0
+        for key in ("m", "v"):
+            assert all(np.array_equal(after[key][n], before[key][n]) for n in ("w", "b"))
 
 
 class TestClip:
@@ -303,8 +329,16 @@ class TestClip:
         with pytest.raises(NumericError, match="w"):
             clip_gradients(store, 10.0)
         store["w"].grad = np.ones(2)
-        with pytest.raises(ConfigError):
-            clip_gradients(store, 0.0)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigError):
+                clip_gradients(store, bad)
+        assert np.array_equal(store["w"].grad, np.ones(2))
+
+    def test_inf_norm_never_clips(self):
+        store = make_store({"w": np.zeros(2)})
+        store["w"].grad = np.array([1e200, -1e200])  # the sum of squares overflows
+        assert clip_gradients(store, math.inf) == 1.0
+        assert np.array_equal(store["w"].grad, [1e200, -1e200])
 
 
 @pytest.fixture(params=[1, 2, 3])
