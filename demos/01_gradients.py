@@ -77,7 +77,7 @@ assert err < 1e-6
 print()
 print("== clipping and Adam on a toy objective ==")
 store3 = ParameterStore()
-p = store3.add("p", (2,), RngStream(2), scale=2.0)
+p = store3.add("p", (2,), RngStream(2))
 target = np.array([0.5, -1.5])
 for it in range(200):
     store3.zero_grads()

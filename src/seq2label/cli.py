@@ -16,7 +16,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 from . import corpus, inference, metrics, synthetic, trainer
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import LabelVocabulary, Vocabulary, atomic_output
 from .errors import ConfigError, DataError, NumericError
 from .model import GE_MODES, ModelConfig, Seq2LabelModel
@@ -294,8 +294,8 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _decode_steps(cfg: RunConfig, ckpt: Checkpoint) -> int:
-    return cfg.max_steps if cfg.max_steps is not None else ckpt.max_label_steps
+def _decode_steps(cfg: RunConfig, max_label_steps: int) -> int:
+    return cfg.max_steps if cfg.max_steps is not None else max_label_steps
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
@@ -303,7 +303,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     _check_outputs(cfg, ["out"], ["checkpoint", "test"])
     ckpt = load_checkpoint(cfg.checkpoint)
     examples = _load_examples(cfg.test, ckpt.vocab, ckpt.label_vocab, cfg.max_len)
-    pairs = trainer.label_set_pairs(ckpt.model, examples, cfg.beam, _decode_steps(cfg, ckpt))
+    pairs = trainer.label_set_pairs(ckpt.model, examples, cfg.beam, _decode_steps(cfg, ckpt.max_label_steps))
     report = metrics.score(pairs, len(ckpt.label_vocab))
     if cfg.lls_buckets:
         report.buckets = metrics.bucket_by_lls(pairs, len(ckpt.label_vocab))
@@ -317,7 +317,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     ckpt = load_checkpoint(cfg.checkpoint)
     model, label_of = ckpt.model, ckpt.label_vocab.label_of
     records = _load_records(cfg.input, require_labels=False)
-    max_steps = _decode_steps(cfg, ckpt)
+    max_steps = _decode_steps(cfg, ckpt.max_label_steps)
 
     with ExitStack() as outputs:
         out_f = outputs.enter_context(atomic_output(cfg.out)) if cfg.out else sys.stdout
@@ -385,8 +385,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     for name, vcfg in variants:
         model = Seq2LabelModel(vcfg.model_config(), len(vocab), len(label_vocab), RngStream(vcfg.seed))
         report = trainer.fit(model, train_examples, valid_examples, vcfg.train_config(), label_vocab)
-        max_steps = vcfg.max_steps if vcfg.max_steps is not None else report.max_label_steps
-        pairs = trainer.label_set_pairs(model, test_examples, vcfg.beam, max_steps)
+        pairs = trainer.label_set_pairs(model, test_examples, vcfg.beam, _decode_steps(vcfg, report.max_label_steps))
         results[name] = metrics.score(pairs, len(label_vocab)).as_dict()
         print(f"{name}: test micro-F1 {results[name]['micro_f1']:.4f}", file=sys.stderr)
     _write_json({"variants": results}, cfg.out)
@@ -418,7 +417,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 _HELP = {
-    "out": "write JSON output here instead of stdout",
     "train": "training JSONL",
     "valid": "validation JSONL",
     "vocab": "token vocabulary file",
@@ -432,6 +430,16 @@ _HELP = {
     "input": "JSONL with a 'text' field per line",
     "attn": "write per-label attention rows to this JSONL",
     "lambda_list": "comma-separated blend weights to sweep (default 0.0,0.5,1.0)",
+}
+
+# --out names a different file on each subcommand
+_OUT_HELP = {
+    "build-vocab": "write the JSON counts of examples, tokens and labels here instead of stdout",
+    "evaluate": "write the JSON metrics here instead of stdout",
+    "predict": "write one JSON line per input here instead of stdout",
+    "ablate": "write each variant's JSON metrics here instead of stdout",
+    "synth": "write the memorization corpus JSONL here (required), and the pair corpora beside it, "
+             "with -pairs-train and -pairs-heldout added to its base name",
 }
 
 _MODEL_KEYS = tuple(f.name for f in _library_fields(ModelConfig))
@@ -472,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                 kind = {"action": "store_true", "default": None}
             else:
                 kind = {"type": _field_parser(key), "choices": GE_MODES if key == "ge_mode" else None}
-            p.add_argument(_flag(key), help=_HELP.get(key), **kind)
+            p.add_argument(_flag(key), help=_OUT_HELP[command] if key == "out" else _HELP.get(key), **kind)
         p.set_defaults(func=func)
     return parser
 

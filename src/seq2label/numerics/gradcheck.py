@@ -14,16 +14,16 @@ def finite_difference_check(
     store: ParameterStore,
     eps: float = 1e-5,
     samples_per_param: int = 4,
-    extra_samples: int = 0,
     rng: RngStream | None = None,
 ) -> float:
     """Compare analytic gradients against central differences; return the max
     relative error over all probed coordinates.
 
     ``loss_fn`` must be a deterministic closure over ``store`` returning a
-    scalar Tensor. Each parameter gets ``samples_per_param`` random coordinates
-    plus a share of ``extra_samples`` spread across the whole store. The
-    relative error is |analytic - numeric| / max(1e-8, |analytic|).
+    scalar Tensor. Each parameter of ``size`` elements gets
+    ``min(samples_per_param, size)`` coordinates, drawn at random with
+    replacement from ``rng`` (``RngStream(0)`` if None). The relative error
+    is |analytic - numeric| / max(1e-8, |analytic|).
     """
     rng = rng or RngStream(0)
     store.zero_grads()
@@ -35,16 +35,11 @@ def finite_difference_check(
     }
 
     coords: list[tuple[str, tuple[int, ...]]] = []
-    names = store.names()
-    for name in names:
+    for name in store.names():
         size = store[name].data.size
         for _ in range(min(samples_per_param, size)):
             flat = int(rng.integers(0, size))
             coords.append((name, np.unravel_index(flat, store[name].data.shape)))
-    for _ in range(extra_samples):
-        name = names[int(rng.integers(0, len(names)))]
-        flat = int(rng.integers(0, store[name].data.size))
-        coords.append((name, np.unravel_index(flat, store[name].data.shape)))
 
     worst = 0.0
     for name, idx in coords:

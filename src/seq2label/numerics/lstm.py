@@ -315,11 +315,11 @@ def lstm_cell_step(
 
 
 def add_lstm_params(
-    store: ParameterStore, prefix: str, input_dim: int, hidden: int, rng, scale: float = 0.1
+    store: ParameterStore, prefix: str, input_dim: int, hidden: int, rng
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Register wx/wh/b for one cell; forget-gate bias starts at 1.0."""
-    wx = store.add(f"{prefix}.wx", (input_dim, 4 * hidden), rng, scale)
-    wh = store.add(f"{prefix}.wh", (hidden, 4 * hidden), rng, scale)
-    b = store.add(f"{prefix}.b", (4 * hidden,), rng, scale)
+    wx = store.add(f"{prefix}.wx", (input_dim, 4 * hidden), rng)
+    wh = store.add(f"{prefix}.wh", (hidden, 4 * hidden), rng)
+    b = store.add(f"{prefix}.b", (4 * hidden,), rng)
     b.data[hidden:2 * hidden] = 1.0
     return wx, wh, b

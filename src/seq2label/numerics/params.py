@@ -7,7 +7,6 @@ import threading
 from bisect import bisect_left
 from concurrent.futures import wait
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
@@ -28,6 +27,12 @@ ADAM_BLOCK = 32_768
 # and two keeps the update's scratch buffer at 1 MiB.
 EARLY_RUN = 2
 
+# Adam's β1, β2 and ε: Kingma & Ba's defaults (arXiv:1412.6980), which the
+# paper trains with.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+# Every parameter starts uniform in [-INIT_SCALE, INIT_SCALE].
+INIT_SCALE = 0.1
 
 _local = threading.local()
 
@@ -56,11 +61,11 @@ class ParameterStore:
         self.step_count = 0
         self._reach: _Reach | None = None  # set by early_adam_step for one step
 
-    def add(self, name: str, shape: tuple[int, ...], rng, scale: float = 0.1) -> Tensor:
-        """Create a parameter with uniform [-scale, scale] entries."""
+    def add(self, name: str, shape: tuple[int, ...], rng) -> Tensor:
+        """Create a parameter with uniform [-INIT_SCALE, INIT_SCALE] entries."""
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        t = Tensor(rng.uniform(-scale, scale, shape), requires_grad=True)
+        t = Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, shape), requires_grad=True)
         self._params[name] = t
         self._adam_m[name] = np.zeros(shape)
         self._adam_v[name] = np.zeros(shape)
@@ -211,13 +216,6 @@ class _Reach:
         i = bisect_left(self.rows, lo // self.width)
         return i < len(self.rows) and self.rows[i] * self.width < hi
 
-    def update(self, p: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
-        """The zero-gradient rule of ``_update`` over ``runs`` of the flat
-        table ``p`` and its moments ``m`` and ``v``, a run per numpy call."""
-        scratch = _scratch(2 * EARLY_RUN * ADAM_BLOCK)
-        for span in self.runs:
-            _update(p[span], None, m[span], v[span], scratch, *self.rule)
-
 
 def clip_gradients(store: ParameterStore, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
@@ -260,15 +258,11 @@ def clip_gradients(store: ParameterStore, max_norm: float) -> float:
     return factor
 
 
-def _rule(t: int, lr: float, beta1: float, beta2: float, eps: float) -> tuple[float, ...]:
+def _rule(t: int, lr: float) -> tuple[float, ...]:
     """Adam's constants at step ``t``, the trailing arguments of ``_update``."""
     if not 0 < lr < math.inf:
         raise ConfigError(f"learning rate must be positive and finite, got {lr}")
-    if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
-        raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
-    if not 0 < eps < math.inf:
-        raise ConfigError(f"eps must be positive and finite, got {eps}")
-    return lr, beta1, beta2, eps, 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    return lr, BETA1, BETA2, EPS, 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
 
 
 def _update(p, g, m, v, scratch, lr, beta1, beta2, eps, bc1, bc2) -> None:
@@ -297,14 +291,29 @@ def _update(p, g, m, v, scratch, lr, beta1, beta2, eps, bc1, bc2) -> None:
     p -= np.divide(a, b, out=a)
 
 
-def adam_step(
-    store: ParameterStore,
-    lr: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One bias-corrected Adam update over every parameter with a gradient.
+def _sweeper(spans, rule: tuple, scratch_size: int):
+    """A sweep that updates each ``(p, g, m, v)`` span in place by
+    ``_update`` at ``rule`` (``g`` None is the zero-gradient rule). Any
+    number of threads may run it at once: each takes the next span not yet
+    taken and updates it through ``scratch_size`` elements of its own
+    scratch buffer, so a thread slowed by other work takes fewer."""
+    todo, lock = iter(spans), threading.Lock()
+
+    def sweep() -> None:
+        scratch = _scratch(scratch_size)
+        while True:
+            with lock:
+                span = next(todo, None)
+            if span is None:
+                return
+            _update(*span, scratch, *rule)
+
+    return sweep
+
+
+def adam_step(store: ParameterStore, lr: float = 0.001) -> None:
+    """One bias-corrected Adam update over every parameter with a gradient,
+    at β1 ``BETA1``, β2 ``BETA2`` and ε ``EPS``.
 
     A parameter whose gradient is None has no gradient this batch and is
     skipped: its value and moments stay as they are. A zero gradient is
@@ -315,62 +324,40 @@ def adam_step(
     through two block-sized halves of the sweeping thread's scratch buffer
     (see ``_update``), so the result has the same bits as the whole-array
     expression, whichever thread updates a block. A large enough sweep runs
-    on every CPU (see ``pool``): each thread takes the next block not yet
-    taken, so a thread slowed by other work takes fewer. Inside
-    ``early_adam_step``, which must have been given the same
-    hyperparameters, this first waits for the early update of the table's
-    unreached blocks and raises its error, then sweeps only the table's
-    reached blocks.
+    on every CPU (see ``pool`` and ``_sweeper``). Inside
+    ``early_adam_step``, which must have been given the same learning rate,
+    this first waits for the early update of the table's unreached blocks
+    and raises its error, then sweeps only the table's reached blocks.
     """
     live = [(name, p) for name, p in store.items() if p.grad is not None]
-    rule = _rule(store.step_count + 1, lr, beta1, beta2, eps)
+    rule = _rule(store.step_count + 1, lr)
     for name, p in live:
         _check_grad_shape(name, p)
     reach, store._reach = store._reach, None
     if reach is not None and reach.rule != rule:
-        raise ConfigError(f"adam_step at step {store.step_count + 1} got {rule[:4]}, its early step {reach.rule[:4]}")
+        raise ConfigError(f"adam_step at step {store.step_count + 1} got learning rate {lr}, "
+                          f"its early step {reach.rule[0]}")
     store.step_count += 1
     if reach is not None and reach.early is not None:
         reach.early.result()
-    blocks, size = [], 0
+    spans = []
     for name, p in live:
         flat = (p.data.reshape(-1), p.grad.reshape(-1), store._adam_m[name].reshape(-1),
                 store._adam_v[name].reshape(-1))
-        n = flat[0].size
-        for k, lo in enumerate(range(0, n, ADAM_BLOCK)):
+        for k, lo in enumerate(range(0, flat[0].size, ADAM_BLOCK)):
             if reach is None or reach.name != name or reach.hit[k]:
-                blocks.append((flat, slice(lo, lo + ADAM_BLOCK)))
-                size += min(n - lo, ADAM_BLOCK)
-    todo, lock = iter(blocks), threading.Lock()
-
-    def sweep() -> None:
-        scratch = _scratch(2 * ADAM_BLOCK)
-        while True:
-            with lock:
-                flat, block = next(todo, (None, None))
-            if flat is None:
-                return
-            _update(*(a[block] for a in flat), scratch, *rule)
-
-    run([sweep] * split(size, len(blocks)))
+                spans.append(tuple(a[lo : lo + ADAM_BLOCK] for a in flat))
+    run([_sweeper(spans, rule, 2 * ADAM_BLOCK)] * split(sum(span[0].size for span in spans), len(spans)))
 
 
 @contextmanager
-def early_adam_step(
-    store: ParameterStore,
-    name: str,
-    rows,
-    lr: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
+def early_adam_step(store: ParameterStore, name: str, rows, lr: float = 0.001):
     """Within this block, the next step's gradient of the table ``name`` is
     +0.0 in every row not in ``rows``; start that step's update of those rows.
 
     The table's blocks of ``ADAM_BLOCK`` elements that hold none of ``rows``
     take the zero-gradient rule of ``_update`` at step
-    ``store.step_count + 1``, with these hyperparameters, which the
+    ``store.step_count + 1``, with learning rate ``lr``, which the
     ``adam_step`` inside the block must be given too. When they add up to
     ``SPLIT_MIN`` elements or more and the process may use more than one
     CPU, a pool thread updates them, ``EARLY_RUN`` blocks per numpy call,
@@ -387,12 +374,14 @@ def early_adam_step(
     the rest of the store, at any CPU count.
     """
     table = store[name].data
-    reach = _Reach(name, table, rows, _rule(store.step_count + 1, lr, beta1, beta2, eps))
-    update = partial(reach.update, *(a.reshape(-1) for a in (table, store._adam_m[name], store._adam_v[name])))
-    if split(sum(min(span.stop, table.size) - span.start for span in reach.runs), 2) > 1:
-        reach.early = start(update)
+    reach = _Reach(name, table, rows, _rule(store.step_count + 1, lr))
+    p, m, v = (a.reshape(-1) for a in (table, store._adam_m[name], store._adam_v[name]))
+    spans = [(p[s], None, m[s], v[s]) for s in reach.runs]
+    sweep = _sweeper(spans, reach.rule, 2 * EARLY_RUN * ADAM_BLOCK)
+    if split(sum(span[0].size for span in spans), 2) > 1:
+        reach.early = start(sweep)
     else:
-        update()
+        sweep()
     store._reach = reach
     try:
         yield

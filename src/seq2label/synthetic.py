@@ -43,10 +43,9 @@ COMPO_LABELS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 _COMPO_P = (0.85, 0.6, 0.45, 0.3, 0.2, 0.12)
 
 
-def composition_corpus(
-    seed: int = 0, train_docs: int = 60, test_docs: int = 15
-) -> tuple[list[dict], list[dict]]:
-    """Documents carrying one trigger token per label in their set.
+def composition_corpus(seed: int = 0) -> tuple[list[dict], list[dict]]:
+    """60 training and 15 test documents carrying one trigger token per label
+    in their set.
 
     Each of six labels has its own trigger, so the token-to-label map
     generalizes to unseen trigger combinations; the test split contains only
@@ -77,19 +76,20 @@ def composition_corpus(
         rng.shuffle(tokens)
         return {"text": " ".join(tokens), "labels": [COMPO_LABELS[j] for j in chosen]}
 
-    train = [doc() for _ in range(train_docs)]
-    test = [doc() for _ in range(test_docs)]
+    train = [doc() for _ in range(60)]
+    test = [doc() for _ in range(15)]
     return train, test
 
 
-def correlated_pair_corpus(seed: int = 0, heldout: int = 10) -> tuple[list[dict], list[dict]]:
+def correlated_pair_corpus(seed: int = 0) -> tuple[list[dict], list[dict]]:
     """Corpus where label beta appears if and only if alpha does.
 
     Tokens qa0..qa3 trigger alpha, qc*/qd* trigger gamma/delta, and w0..w9 are
     neutral fillers. No token triggers beta: the only evidence for it is its
     co-occurrence with alpha, so a model can only get beta right by exploiting
-    the label correlation. Returns (train, heldout) where the heldout records
-    are alpha-trigger documents with filler combinations absent from training.
+    the label correlation. Returns (train, heldout): 72 training records, and
+    10 heldout alpha-trigger documents with filler combinations absent from
+    training.
     """
     rng = RngStream(seed)
     fillers = [f"w{i}" for i in range(10)]
@@ -122,5 +122,5 @@ def correlated_pair_corpus(seed: int = 0, heldout: int = 10) -> tuple[list[dict]
     for i in range(8):
         train.append(doc([f"qa{i % 4}", f"qc{(i + 1) % 4}"], ["alpha", "beta", "gamma"]))
 
-    held = [doc([f"qa{i % 4}"], ["alpha", "beta"]) for i in range(heldout)]
+    held = [doc([f"qa{i % 4}"], ["alpha", "beta"]) for i in range(10)]
     return train, held

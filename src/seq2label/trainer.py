@@ -17,8 +17,9 @@ from .numerics import RngStream, Tensor, adam_step, clip_gradients, concat, earl
 
 @dataclass
 class TrainConfig:
-    """Adam takes ``learning_rate``; its β1, β2 and ε are ``adam_step``'s
-    defaults (0.9, 0.999 and 1e-8)."""
+    """Adam takes ``learning_rate``; its β1, β2 and ε are the constants
+    ``BETA1``, ``BETA2`` and ``EPS`` of ``numerics.params`` (0.9, 0.999 and
+    1e-8)."""
 
     epochs: int = 10
     batch_size: int = 8

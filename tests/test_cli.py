@@ -354,6 +354,27 @@ class TestConfigFile:
         train_flags = {a.dest for a in sub.choices["train"]._actions}
         assert library <= train_flags
 
+    @pytest.mark.parametrize("command, says", [
+        ("build-vocab", "the JSON counts of examples, tokens and labels here instead of stdout"),
+        ("evaluate", "the JSON metrics here instead of stdout"),
+        ("predict", "one JSON line per input here instead of stdout"),
+        ("ablate", "each variant's JSON metrics here instead of stdout"),
+        ("synth", "the memorization corpus JSONL here (required), and the pair corpora beside it"),
+    ], ids=["build-vocab", "evaluate", "predict", "ablate", "synth"])
+    def test_out_help_says_what_the_subcommand_writes(self, capsys, command, says):
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"--out OUT write {says}" in text
+
+    def test_every_help_entry_is_a_flag(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest for parser in sub.choices.values() for a in parser._actions}
+        assert set(cli._HELP) <= flags, sorted(set(cli._HELP) - flags)
+        assert set(cli._OUT_HELP) == {command for command, parser in sub.choices.items()
+                                      if "out" in {a.dest for a in parser._actions}}
+
     def test_config_error_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense\n")

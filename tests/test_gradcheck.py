@@ -103,7 +103,9 @@ def test_attention_head_gradients(rows, lengths, block, monkeypatch):
         "w_out_context": (proj, width), "w_logits": (classes, proj),
     }
     store = ParameterStore()
-    tensors = [store.add(name, shape, RngStream(i), scale=1.0) for i, (name, shape) in enumerate(shapes.items())]
+    tensors = [store.add(name, shape, RngStream(i)) for i, (name, shape) in enumerate(shapes.items())]
+    for i, t in enumerate(tensors):
+        t.data = RngStream(i).uniform(-1.0, 1.0, t.data.shape)
     mask = np.zeros(shapes["s"][:-1] + (classes,))
     mask[..., 1] = -np.inf
     targets = 3 if rows is None else np.array([0, 4, 2])

@@ -13,7 +13,7 @@ import pytest
 from seq2label.errors import ConfigError, NumericError, ShapeError
 from seq2label.numerics import ParameterStore, RngStream, adam_step, clip_gradients, early_adam_step
 from seq2label.numerics import params, pool
-from seq2label.numerics.params import ADAM_BLOCK
+from seq2label.numerics.params import ADAM_BLOCK, BETA1, BETA2, EPS, INIT_SCALE
 
 
 def in_a_fresh_thread(fn):
@@ -44,9 +44,13 @@ class TestStore:
 
     def test_init_range(self):
         store = ParameterStore()
-        t = store.add("w", (50, 50), RngStream(0), scale=0.1)
+        t = store.add("w", (50, 50), RngStream(0))
+        assert INIT_SCALE == 0.1
         assert np.all(np.abs(t.data) <= 0.1)
         assert t.data.std() > 0.01
+        with pytest.raises(TypeError):
+            store.add("v", (2,), RngStream(0), scale=2.0)  # the scale is fixed
+        assert "v" not in store
 
     def test_duplicate_name_rejected(self):
         store = ParameterStore()
@@ -73,8 +77,10 @@ class TestStore:
         assert store["w"].grad is None
 
 
-def whole_array_adam(p, g, m, v, t, lr, beta1, beta2, eps):
-    """The update as one whole-array expression: the oracle for the blocked sweep."""
+def whole_array_adam(p, g, m, v, t, lr):
+    """The update as one whole-array expression at Kingma & Ba's β1, β2 and
+    ε: the oracle for the blocked sweep."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     m *= beta1
@@ -145,7 +151,6 @@ class TestAdam:
         store = make_store({name: rng.normal(size=shape) for name, shape in shapes.items()})
         oracle = {name: [store[name].data.copy(), np.zeros(shape), np.zeros(shape)]
                   for name, shape in shapes.items()}
-        hyper = dict(lr=0.003, beta1=0.85, beta2=0.995, eps=1e-7)
         for step in range(1, 6):
             for name, shape in shapes.items():
                 if name == "skipped":
@@ -155,8 +160,8 @@ class TestAdam:
                     g[rng.random(shape[0]) < 0.9] = 0.0  # mostly untouched rows, like a lookup table
                 store[name].grad = g
                 p, m, v = oracle[name]
-                whole_array_adam(p, g, m, v, step, **hyper)
-            adam_step(store, **hyper)
+                whole_array_adam(p, g, m, v, step, lr=0.003)
+            adam_step(store, lr=0.003)
             state = store.adam_state()
             for name, (p, m, v) in oracle.items():
                 assert np.array_equal(store[name].data, p), (name, step)
@@ -200,14 +205,24 @@ class TestAdam:
     def test_rejects_bad_hyperparameters(self):
         store = make_store({"w": np.ones(1)})
         store["w"].grad = np.ones(1)
-        for hyper in (dict(lr=0.0), dict(lr=math.nan), dict(lr=math.inf), dict(beta1=1.0), dict(beta2=math.nan),
-                      dict(eps=0.0), dict(eps=math.nan), dict(eps=math.inf)):
+        for lr in (0.0, math.nan, math.inf):
             with pytest.raises(ConfigError):
-                adam_step(store, **hyper)
+                adam_step(store, lr=lr)
             with pytest.raises(ConfigError):
-                with early_adam_step(store, "w", [0], **hyper):
+                with early_adam_step(store, "w", [0], lr=lr):
+                    pass
+        # β1, β2 and ε are constants, not arguments
+        for fixed in (dict(beta1=0.9), dict(beta2=0.999), dict(eps=1e-8)):
+            with pytest.raises(TypeError):
+                adam_step(store, **fixed)
+            with pytest.raises(TypeError):
+                with early_adam_step(store, "w", [0], **fixed):
                     pass
         assert store.step_count == 0 and np.array_equal(store["w"].data, np.ones(1))
+
+    def test_constants_are_kingma_and_ba_defaults(self):
+        # the values the README states and the paper trains with
+        assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-8)
 
     @pytest.mark.parametrize("edit, match", [
         (lambda s: s.update(step=-1), "step"),
@@ -411,7 +426,7 @@ class TestWorkerCount:
                     g = rng.normal(size=s)
                     store[f"p{i}"].grad = g
                     p, m, v = oracle[i]
-                    whole_array_adam(p, g, m, v, step, 0.001, 0.9, 0.999, 1e-8)
+                    whole_array_adam(p, g, m, v, step, lr=0.001)
                 done = threading.Thread(target=adam_step, args=(store,))
                 done.start()
                 done.join(timeout=60)
@@ -471,13 +486,12 @@ class TestEarlyStep:
         rows = [0, 511, 512, 3000]  # blocks 0, 1 and 5 of 8
         g = np.zeros(p.shape)
         g[rows] = np.random.default_rng(2).normal(size=(len(rows), 64))
-        hyper = dict(lr=0.003, beta1=0.85, beta2=0.995, eps=1e-7)
         p, m, v = p.copy(), m.copy(), v.copy()
-        whole_array_adam(p, g, m, v, step, **hyper)
-        with early_adam_step(store, "table", rows, **hyper):
+        whole_array_adam(p, g, m, v, step, lr=0.003)
+        with early_adam_step(store, "table", rows, lr=0.003):
             store["table"].grad = g
             store["w"].grad = np.ones(5)
-            adam_step(store, **hyper)
+            adam_step(store, lr=0.003)
         state = store.adam_state()
         assert same_bits(store["table"].data, p)
         assert same_bits(state["m"]["table"], m)
